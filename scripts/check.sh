@@ -9,16 +9,17 @@
 # baselines/gb-metrics-v1.tiny.json (tolerance via GB_BENCH_TOLERANCE,
 # percent), an end-to-end artifact-cache smoke test (store build ->
 # store verify -> warm bench run + corruption and bad-flag rejection
-# checks), a schedule-policy equivalence smoke (`run --schedule=steal`
-# task counters must match the dynamic run — docs/threading.md), a
-# gb::serve smoke test (8-job list through the scheduler, JSON
+# checks), a gb::serve smoke test (8-job list through the scheduler, JSON
 # validated, single-flight prepare asserted), a gb::net loopback
 # smoke (`serve --listen` driven by the `client` subcommand over
 # 127.0.0.1, priority dispatch order asserted from the JSON), and a
 # gb::trace smoke riding on the net run: --trace must produce valid
 # Perfetto JSON covering every instrumented layer with zero dropped
 # events, submit->done coverage for all 8 jobs, and non-zero latency
-# percentile columns on the serve_summary row (docs/tracing.md).
+# percentile columns on the serve_summary row (docs/tracing.md), bad
+# flag values on the bench binaries and the CLI (exit 2, no stray
+# std:: exception text), and the benchmark's own math self-tests
+# (perfbench/test_benchmath.py).
 #
 # Usage: scripts/check.sh [--skip-sanitizers]
 set -euo pipefail
@@ -76,15 +77,15 @@ if [[ $SKIP_SAN -eq 0 ]]; then
 fi
 
 # ------------------------------------------------------- TSan build
-# The scheduler telemetry writes per-rank slots from worker threads,
-# the kSteal policy CASes packed range words across ranks, the
-# gb::serve scheduler runs jobs on detached runner threads over a
-# shared worker budget, the gb::net server multiplexes session
-# threads, an accept loop and wake pipes over one scheduler, and
-# gb::trace records into per-thread rings from all of the above; TSan
-# proves the thread-pool accounting, the steal protocol, the metrics
-# plumbing, the serving layer, the network layer and the trace
-# recorder are race-free.
+# The thread pool hands out chunks from a shared cursor and writes
+# per-rank telemetry slots from worker threads, the gb::serve
+# scheduler runs jobs on detached runner threads over a shared worker
+# budget, the gb::net server multiplexes session threads, an accept
+# loop and wake pipes over one scheduler, and gb::trace records into
+# per-thread rings from all of the above; TSan proves the pool's job
+# start/finish protocol and accounting, the metrics plumbing, the
+# serving layer, the network layer and the trace recorder are
+# race-free.
 if [[ $SKIP_SAN -eq 0 ]]; then
     step "TSan: build + run thread-pool, metrics, serve, net and trace tests"
     cmake -B build-tsan -S . \
@@ -93,10 +94,10 @@ if [[ $SKIP_SAN -eq 0 ]]; then
         >/dev/null
     cmake --build build-tsan -j"$JOBS" --target test_util test_metrics \
         test_serve test_net test_trace
-    # The randomized scheduler stress first (both policies, skewed and
-    # throwing bodies — docs/threading.md), then the full suites.
+    # The randomized scheduler stress first (skewed and throwing
+    # bodies — docs/threading.md), then the full suites.
     ./build-tsan/tests/test_util \
-        --gtest_filter='ThreadPool.SchedulerStress*:ThreadPool.Steal*'
+        --gtest_filter='ThreadPool.SchedulerStress*'
     ./build-tsan/tests/test_util --gtest_brief=1
     ./build-tsan/tests/test_metrics --gtest_brief=1
     ./build-tsan/tests/test_serve --gtest_brief=1
@@ -165,30 +166,6 @@ grep -q "1 hit" /tmp/gb_warm.txt || {
     echo "FAIL: warm run did not hit the artifact cache" >&2
     exit 1
 }
-
-# Schedule-policy equivalence: the same kernel under --schedule=steal
-# must report exactly the task counters of the --schedule=dynamic run
-# (the policies move indices between ranks, never change the work —
-# docs/threading.md).
-step "schedule: run --schedule=steal counters match dynamic"
-"$GB" run fmi --size=tiny --cache-dir="$CACHE" --repeat=2 \
-    --json=/tmp/gb_sched_dyn.json >/dev/null
-"$GB" run fmi --size=tiny --cache-dir="$CACHE" --repeat=2 \
-    --schedule=steal --json=/tmp/gb_sched_steal.json >/dev/null
-python3 - /tmp/gb_sched_dyn.json /tmp/gb_sched_steal.json <<'EOF'
-import json, sys
-def load(path, want_schedule):
-    doc = json.load(open(path))
-    runs = [r for r in doc["rows"] if r["table"] == "run"]
-    assert runs, f"{path}: no run rows"
-    for r in runs:
-        assert r["schedule"] == want_schedule, r
-    return sorted(r["tasks"] for r in runs)
-dyn = load(sys.argv[1], "dynamic")
-steal = load(sys.argv[2], "steal")
-assert dyn == steal, f"task counters diverge: {dyn} vs {steal}"
-print(f"schedule smoke ok: tasks {dyn} identical under both policies")
-EOF
 
 # Engine equivalence: chain and spoa under --engine=simd must report
 # exactly the task counters of the --engine=scalar runs (the SIMD
@@ -369,7 +346,7 @@ EOF
 rm -f /tmp/gb_trace.json
 
 # ------------------------------------------------- CLI error handling
-step "bench CLI: unknown flags are rejected"
+step "bench CLI: unknown flags and bad values are rejected"
 set +e
 ./build/bench/bench_table2_overview --thread=8 >/dev/null 2>/tmp/gb_flag.txt
 status=$?
@@ -380,5 +357,48 @@ if [[ $status -ne 2 ]] || ! grep -q "did you mean --threads" /tmp/gb_flag.txt; t
     exit 1
 fi
 echo "bad flag rejected with: $(cat /tmp/gb_flag.txt | head -1)"
+
+# Every bad number exits 2 with a message naming the flag, never a
+# std:: exception text, and counts above the thread cap are refused
+# while parsing (no thread is started).
+cli_probe() {
+    local flag=$1
+    shift
+    set +e
+    "$GB" "$@" >/dev/null 2>/tmp/gb_flag.txt
+    local status=$?
+    set -e
+    if [[ $status -ne 2 ]] || ! grep -q -- "$flag" /tmp/gb_flag.txt ||
+        grep -qE 'std::|stoul|stod' /tmp/gb_flag.txt; then
+        echo "FAIL: '$*' exited $status:" >&2
+        cat /tmp/gb_flag.txt >&2
+        exit 1
+    fi
+    echo "rejected '$*': $(head -1 /tmp/gb_flag.txt)"
+}
+cli_probe --threads run dbg --size=tiny --threads=-1
+cli_probe --threads run dbg --size=tiny --threads=abc
+cli_probe --threads run dbg --size=tiny --threads=1025
+cli_probe --repeat run dbg --size=tiny --repeat=0
+cli_probe --workers serve --jobs=/dev/null --workers=100000
+cli_probe --queue-depth serve --jobs=/dev/null --queue-depth=-1
+cli_probe --wait-timeout client --connect=127.0.0.1:1 --jobs=/dev/null \
+    --wait-timeout=soon
+cli_probe --top trace inspect /dev/null --top=-5
+for help in --help -h; do
+    usage_text=$("$GB" run "$help")
+    grep -q "usage:" <<< "$usage_text" || {
+        echo "FAIL: run $help did not print usage" >&2
+        exit 1
+    }
+done
+echo "run --help and -h print usage and exit 0"
+
+# ------------------------------------------------ benchmark self-tests
+# The repository benchmark's statistics (percentile tail rule, dispatch
+# subtraction, failure counting, host-speed scaling) and its
+# BENCHMARK.json <-> run.py consistency.
+step "perfbench: benchmark math self-tests"
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench
 
 step "all checks passed"

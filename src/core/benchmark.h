@@ -31,9 +31,9 @@ enum class DatasetSize : u8
 /**
  * Execution engine for timed runs. kScalar is the portable
  * probe-compatible implementation every kernel has; kSimd swaps in a
- * real vectorized engine (gb::simd, runtime-dispatched) where one
- * exists — currently bsw and phmm. Kernels without a SIMD engine run
- * scalar under either setting.
+ * real vectorized engine (gb::simd/gb::mlp, runtime-dispatched) where
+ * one exists: bsw, phmm, fmi, kmer-cnt, chain and spoa. Kernels without
+ * a SIMD engine run scalar under either setting.
  */
 enum class Engine : u8
 {

@@ -123,7 +123,8 @@ Connection::~Connection()
 Connection::Connection(Connection&& other) noexcept
     : fd_(other.fd_),
       read_timeout_(other.read_timeout_),
-      buffer_(std::move(other.buffer_))
+      buffer_(std::move(other.buffer_)),
+      scanned_(other.scanned_)
 {
     other.fd_ = -1;
 }
@@ -136,6 +137,7 @@ Connection::operator=(Connection&& other) noexcept
         fd_ = other.fd_;
         read_timeout_ = other.read_timeout_;
         buffer_ = std::move(other.buffer_);
+        scanned_ = other.scanned_;
         other.fd_ = -1;
     }
     return *this;
@@ -192,14 +194,21 @@ bool
 Connection::readLine(std::string* line, int wake_fd)
 {
     for (;;) {
-        const size_t nl = buffer_.find('\n');
+        const size_t nl = buffer_.find('\n', scanned_);
         if (nl != std::string::npos) {
             *line = buffer_.substr(0, nl);
             buffer_.erase(0, nl + 1);
+            scanned_ = 0;
             if (!line->empty() && line->back() == '\r') {
                 line->pop_back();
             }
             return true;
+        }
+        scanned_ = buffer_.size();
+        if (buffer_.size() > kMaxLineBytes) {
+            buffer_.clear();
+            scanned_ = 0;
+            throw LineTooLongError();
         }
         const int ready = pollReadable(fd_, wake_fd, read_timeout_);
         if (ready != fd_) return false; // timeout or wake

@@ -35,6 +35,17 @@ class NetError : public std::runtime_error
         : std::runtime_error(what) {}
 };
 
+/** Longest line readLine() accepts, terminator excluded. */
+inline constexpr size_t kMaxLineBytes = 64 * 1024;
+
+/** Thrown by readLine() when a peer sends more than kMaxLineBytes
+ *  without a '\n'; the buffered bytes are dropped. */
+class LineTooLongError : public NetError
+{
+  public:
+    LineTooLongError() : NetError("line too long") {}
+};
+
 /** Split "HOST:PORT"; throws InputError on a malformed spec. */
 struct HostPort
 {
@@ -72,8 +83,9 @@ class Connection
     /**
      * Read one line. Returns false on orderly EOF, on read timeout,
      * or when `wake_fd` (if >= 0) becomes readable — the caller
-     * treats all three as "this session is over". Throws NetError on
-     * a socket error.
+     * treats all three as "this session is over". Throws
+     * LineTooLongError once more than kMaxLineBytes arrive without a
+     * '\n', and NetError on a socket error.
      */
     bool readLine(std::string* line, int wake_fd = -1);
 
@@ -90,6 +102,8 @@ class Connection
     int fd_ = -1;
     double read_timeout_ = 0.0;
     std::string buffer_;
+    /** Leading bytes of buffer_ already searched for '\n'. */
+    size_t scanned_ = 0;
 };
 
 /**

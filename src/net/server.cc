@@ -78,6 +78,13 @@ Server::session(Connection conn)
                conn.readLine(&line, session_wake_[0])) {
             conn.writeLine(handleLine(line));
         }
+    } catch (const LineTooLongError& e) {
+        // Unbounded input is refused, not buffered: say why, then
+        // end the session (the peer's remaining bytes are discarded).
+        try {
+            conn.writeLine(errReply(e.what()));
+        } catch (const NetError&) {
+        }
     } catch (const NetError&) {
         // Peer reset mid-request/reply; the session just ends.
     }
@@ -163,9 +170,8 @@ Server::handleSubmit(const std::string& job_line)
 {
     // Parse and registry-validation failures propagate to
     // handleLine's catch and come back as ERR replies.
-    serve::JobSpec spec = serve::parseJobLine(job_line);
-    if (config_.spec_defaults) config_.spec_defaults(spec);
-    serve::JobHandle handle = scheduler_->submit(std::move(spec));
+    serve::JobHandle handle =
+        scheduler_->submit(serve::parseJobLine(job_line));
     if (handle.status() == serve::JobStatus::kRejected) {
         // Admission control: "ERR queue full (depth N)" / "ERR queue
         // closed (draining)" — the client is told immediately, never

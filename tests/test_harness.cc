@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "harness.h"
+#include "util/parse.h"
 
 namespace gb::bench {
 namespace {
@@ -37,7 +38,6 @@ TEST(ParseStrict, DefaultsApplied)
     EXPECT_TRUE(opt.kernels.empty());
     EXPECT_TRUE(opt.cache_dir.empty());
     EXPECT_EQ(opt.engine, Engine::kScalar);
-    EXPECT_EQ(opt.schedule, SchedulePolicy::kDynamic);
     EXPECT_TRUE(opt.json_path.empty());
     EXPECT_FALSE(opt.help);
 }
@@ -48,7 +48,6 @@ TEST(ParseStrict, ParsesEveryFlag)
                                    "--kernels=bsw,phmm",
                                    "--cache-dir=/tmp/cache",
                                    "--engine=simd",
-                                   "--schedule=steal",
                                    "--json=/tmp/out.json"});
     EXPECT_EQ(opt.size, DatasetSize::kLarge);
     EXPECT_EQ(opt.threads, 8u);
@@ -56,7 +55,6 @@ TEST(ParseStrict, ParsesEveryFlag)
               (std::vector<std::string>{"bsw", "phmm"}));
     EXPECT_EQ(opt.cache_dir, "/tmp/cache");
     EXPECT_EQ(opt.engine, Engine::kSimd);
-    EXPECT_EQ(opt.schedule, SchedulePolicy::kSteal);
     EXPECT_EQ(opt.json_path, "/tmp/out.json");
     EXPECT_FALSE(opt.help);
 }
@@ -106,7 +104,13 @@ TEST(ParseStrict, RejectsBadValues)
     EXPECT_THROW(parseArgs({"--size=huge"}), InputError);
     EXPECT_THROW(parseArgs({"--threads=-1"}), InputError);
     EXPECT_THROW(parseArgs({"--threads=abc"}), InputError);
-    EXPECT_THROW(parseArgs({"--schedule=guided"}), InputError);
+    // Above the cap: rejected while parsing, before any pool exists.
+    const std::string over_cap =
+        "--threads=" + std::to_string(kMaxThreads + 1);
+    EXPECT_THROW(parseArgs({over_cap.c_str()}), InputError);
+    const std::string at_cap =
+        "--threads=" + std::to_string(kMaxThreads);
+    EXPECT_EQ(parseArgs({at_cap.c_str()}).threads, kMaxThreads);
     EXPECT_THROW(parseArgs({"--json="}), InputError);
     EXPECT_THROW(parseArgs({"--cache-dir="}), InputError);
 }
@@ -125,7 +129,6 @@ TEST(KnownFlags, MatchesParserAndUsage)
         {"--kernels", "--kernels=bsw"},
         {"--cache-dir", "--cache-dir=/tmp/c"},
         {"--engine", "--engine=scalar"},
-        {"--schedule", "--schedule=steal"},
         {"--json", "--json=/tmp/j.json"},
         {"--help", "--help"},
     };
@@ -153,7 +156,6 @@ TEST(KnownFlags, ListsNothingTheParserRejects)
             flag == "--help"        ? flag
             : flag == "--size"      ? flag + "=tiny"
             : flag == "--engine"    ? flag + "=scalar"
-            : flag == "--schedule"  ? flag + "=dynamic"
             : flag == "--threads"   ? flag + "=1"
                                     : flag + "=x";
         EXPECT_NO_THROW(parseArgs({arg.c_str()})) << arg;

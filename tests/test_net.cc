@@ -13,6 +13,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -545,6 +551,45 @@ TEST(NetServer, SessionLimitShedsConnections)
     // The shed connection is closed; the first still works.
     EXPECT_FALSE(second.readLine(&reply));
     EXPECT_EQ(roundTrip(first, "SUBMIT a").rfind("OK 1 ", 0), 0u);
+}
+
+TEST(NetServer, OverlongLineIsRejectedAndClosed)
+{
+    TestServer ts({"a"}, 1, 4);
+    // A raw socket: Connection::writeLine would append the '\n' this
+    // client must never send.
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    timeval timeout{10, 0}; // a server that never closes fails, not hangs
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(ts.server.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    const std::string chunk(4096, 'x');
+    size_t sent = 0;
+    while (sent < net::kMaxLineBytes + 16 * 1024) {
+        const ssize_t n =
+            ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+        if (n <= 0) break; // the server already hung up
+        sent += static_cast<size_t>(n);
+    }
+    EXPECT_GT(sent, net::kMaxLineBytes);
+    std::string reply;
+    char buf[256];
+    for (;;) {
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n <= 0) break; // EOF or reset: the session is closed
+        reply.append(buf, static_cast<size_t>(n));
+    }
+    ::close(fd);
+    EXPECT_EQ(reply, "ERR line too long\n");
+    // The server keeps serving new connections.
+    Connection conn = ts.connect();
+    EXPECT_EQ(roundTrip(conn, "SUBMIT a").rfind("OK 1 ", 0), 0u);
 }
 
 TEST(NetServer, StopUnblocksIdleSessions)
