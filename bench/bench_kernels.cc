@@ -131,7 +131,13 @@ main(int argc, char** argv)
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-            const Engine engine = parseEngine(argv[i] + 9);
+            Engine engine = Engine::kScalar;
+            try {
+                engine = parseEngine(argv[i] + 9);
+            } catch (const InputError& e) {
+                std::cerr << "error: " << e.what() << '\n';
+                return 2;
+            }
             want_scalar = engine == Engine::kScalar;
             want_simd = engine == Engine::kSimd;
         } else if (std::strncmp(argv[i], "--size=", 7) == 0) {
@@ -149,6 +155,10 @@ main(int argc, char** argv)
             }
         } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
             json_path = argv[i] + 7;
+            if (json_path.empty()) {
+                std::cerr << "error: --json expects a file path\n";
+                return 2;
+            }
         } else {
             argv[out++] = argv[i];
         }

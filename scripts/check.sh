@@ -10,7 +10,8 @@
 # percent), an end-to-end artifact-cache smoke test (store build ->
 # store verify -> warm bench run + corruption and bad-flag rejection
 # checks), a gb::serve smoke test (8-job list through the scheduler, JSON
-# validated, single-flight prepare asserted), a gb::net loopback
+# validated, single-flight prepare asserted), a chain + pileup serve
+# smoke (one artifact build per family), a gb::net loopback
 # smoke (`serve --listen` driven by the `client` subcommand over
 # 127.0.0.1, priority dispatch order asserted from the JSON), and a
 # gb::trace smoke riding on the net run: --trace must produce valid
@@ -237,6 +238,35 @@ print("serve smoke ok: 8/8 jobs done, 1 artifact build")
 EOF
 rm -rf "$SERVE_CACHE" "$SERVE_JOBS"
 
+# ------------------------------------------- serve chain/pileup smoke
+# The chain anchors and pileup alignment records are store artifacts
+# too: 4 concurrent chain and 2 concurrent pileup prepares against a
+# fresh cache must collapse into one build per family, and every job
+# must still finish.
+step "serve: chain + pileup jobs -> one artifact build per family"
+SERVE_CACHE=$(mktemp -d)
+SERVE_JOBS=$(mktemp)
+for _ in 1 2 3 4; do
+    echo "chain size=tiny threads=1" >> "$SERVE_JOBS"
+done
+for _ in 1 2; do
+    echo "pileup size=tiny threads=1" >> "$SERVE_JOBS"
+done
+"$GB" serve --jobs="$SERVE_JOBS" --workers=4 \
+    --cache-dir="$SERVE_CACHE" --json=/tmp/gb_serve_cp.json >/dev/null
+python3 - /tmp/gb_serve_cp.json <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+summary = [r for r in doc["rows"] if r["table"] == "serve_summary"][0]
+assert summary["completed"] == 6, summary
+assert summary["cache_builds"] == 2, \
+    f"single-flight violated: {summary['cache_builds']} builds"
+jobs = [r for r in doc["rows"] if r["table"] == "serve_job"]
+assert len(jobs) == 6 and all(j["status"] == "done" for j in jobs)
+print("serve chain/pileup smoke ok: 6/6 jobs done, 2 artifact builds")
+EOF
+rm -rf "$SERVE_CACHE" "$SERVE_JOBS" /tmp/gb_serve_cp.json
+
 # ------------------------------------------------ network serve smoke
 # Start `serve --listen` on an ephemeral loopback port, drive a mixed-
 # priority 8-job list through the `client` subcommand (DRAIN at the
@@ -358,24 +388,33 @@ if [[ $status -ne 2 ]] || ! grep -q "did you mean --threads" /tmp/gb_flag.txt; t
 fi
 echo "bad flag rejected with: $(cat /tmp/gb_flag.txt | head -1)"
 
-# Every bad number exits 2 with a message naming the flag, never a
-# std:: exception text, and counts above the thread cap are refused
-# while parsing (no thread is started).
-cli_probe() {
+# Every bad number or empty path exits 2 with a message naming the
+# flag, never a std:: exception text or an abort, and counts above the
+# thread cap are refused while parsing (no thread is started).
+probe() {
     local flag=$1
     shift
     set +e
-    "$GB" "$@" >/dev/null 2>/tmp/gb_flag.txt
+    "$@" >/dev/null 2>/tmp/gb_flag.txt
     local status=$?
     set -e
     if [[ $status -ne 2 ]] || ! grep -q -- "$flag" /tmp/gb_flag.txt ||
-        grep -qE 'std::|stoul|stod' /tmp/gb_flag.txt; then
+        grep -qE 'std::|stoul|stod|terminate' /tmp/gb_flag.txt; then
         echo "FAIL: '$*' exited $status:" >&2
         cat /tmp/gb_flag.txt >&2
         exit 1
     fi
     echo "rejected '$*': $(head -1 /tmp/gb_flag.txt)"
 }
+cli_probe() {
+    local flag=$1
+    shift
+    probe "$flag" "$GB" "$@"
+}
+probe "error: unknown engine" ./build/bench/bench_kernels --engine=bogus
+probe --json ./build/bench/bench_kernels --json=
+cli_probe --json run dbg --size=tiny --json=
+cli_probe --cache-dir run dbg --size=tiny --cache-dir=
 cli_probe --threads run dbg --size=tiny --threads=-1
 cli_probe --threads run dbg --size=tiny --threads=abc
 cli_probe --threads run dbg --size=tiny --threads=1025

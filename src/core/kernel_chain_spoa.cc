@@ -11,7 +11,9 @@
 #include "poa/poa.h"
 #include "simd/chain_engine.h"
 #include "simdata/genome.h"
-#include "simdata/reads.h"
+#include "store/artifacts.h"
+#include "store/cache.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace gb {
@@ -47,43 +49,71 @@ class ChainKernel final : public Benchmark
     {
         // Paper: anchors for 1K / 10K reads, all-vs-self overlap. We
         // synthesize overlapping long-read pairs and precompute their
-        // anchors (the kernel input is the anchor list).
+        // anchors (the kernel input is the anchor list). The anchors
+        // are a pure function of the pair count, genome, seeds and
+        // minimizer parameters, so they cache under those.
         const u64 num_pairs = sizesFor(size, 20, 1000, 10'000);
-        GenomeParams gp;
-        gp.length = 400'000;
-        gp.seed = 141;
-        const Genome genome = generateGenome(gp);
-        LongReadParams lp;
-        lp.coverage = 1.0; // lengths only; reads drawn manually below
-        Rng rng(142);
-
-        anchor_sets_.clear();
-        anchor_sets_.reserve(num_pairs);
+        constexpr u64 kGenomeLen = 400'000;
         const MinimizerParams mp;
-        for (u64 i = 0; i < num_pairs; ++i) {
-            const u64 len =
-                3000 + rng.below(9000); // 3-12 kb reads
-            const u64 overlap = len / 2 + rng.below(len / 3);
-            const u64 a_pos =
-                rng.below(genome.seq.size() - 2 * len);
-            const u64 b_pos = a_pos + (len - overlap);
+        auto& cache = store::globalCache();
+        const u64 key = KeyMixer()
+                            .mix("chain-anchors/v1")
+                            .mix(num_pairs)
+                            .mix(kGenomeLen)
+                            .mix(141)
+                            .mix(142)
+                            .mix(mp.k)
+                            .mix(mp.w)
+                            .value();
+        cache.fetchOrBuild(
+            "chain", key,
+            [&](const auto& reader) {
+                anchor_sets_ =
+                    store::readPodRows<Anchor>(*reader, "anchors");
+            },
+            [&] {
+                anchor_sets_.clear();
+                anchor_sets_.reserve(num_pairs);
+                GenomeParams gp;
+                gp.length = kGenomeLen;
+                gp.seed = 141;
+                const Genome genome = generateGenome(gp);
+                Rng rng(142);
 
-            auto noisy = [&](u64 pos, u64 l) {
-                std::string s = genome.seq.substr(pos, l);
-                std::string out;
-                for (char c : s) {
-                    if (rng.chance(0.04)) continue;
-                    if (rng.chance(0.04)) out += "ACGT"[rng.below(4)];
-                    out += rng.chance(0.03) ? "ACGT"[rng.below(4)] : c;
+                for (u64 i = 0; i < num_pairs; ++i) {
+                    const u64 len =
+                        3000 + rng.below(9000); // 3-12 kb reads
+                    const u64 overlap = len / 2 + rng.below(len / 3);
+                    const u64 a_pos =
+                        rng.below(genome.seq.size() - 2 * len);
+                    const u64 b_pos = a_pos + (len - overlap);
+
+                    auto noisy = [&](u64 pos, u64 l) {
+                        std::string s = genome.seq.substr(pos, l);
+                        std::string out;
+                        for (char c : s) {
+                            if (rng.chance(0.04)) continue;
+                            if (rng.chance(0.04)) {
+                                out += "ACGT"[rng.below(4)];
+                            }
+                            out += rng.chance(0.03)
+                                       ? "ACGT"[rng.below(4)]
+                                       : c;
+                        }
+                        return out;
+                    };
+                    const auto a = encodeDna(noisy(a_pos, len));
+                    const auto b = encodeDna(noisy(b_pos, len));
+                    const auto ma = extractMinimizers(a, mp);
+                    const auto mb = extractMinimizers(b, mp);
+                    anchor_sets_.push_back(matchAnchors(ma, mb, mp.k));
                 }
-                return out;
-            };
-            const auto a = encodeDna(noisy(a_pos, len));
-            const auto b = encodeDna(noisy(b_pos, len));
-            const auto ma = extractMinimizers(a, mp);
-            const auto mb = extractMinimizers(b, mp);
-            anchor_sets_.push_back(matchAnchors(ma, mb, mp.k));
-        }
+                cache.write("chain", key,
+                            [&](store::StoreWriter& writer) {
+                                store::addPodRows<Anchor>(
+                                    writer, "anchors", anchor_sets_);
+                            });
+            });
     }
 
     u64

@@ -75,7 +75,7 @@ class FmiKernel final : public Benchmark
             [&](const auto& reader) {
                 fm_ = std::make_unique<FmIndex>(
                     store::viewFmIndex(reader));
-                reads_ = store::readByteRows(*reader, "reads");
+                reads_ = store::readPodRows<u8>(*reader, "reads");
             },
             [&] {
                 GenomeParams gp;
@@ -103,9 +103,7 @@ class FmiKernel final : public Benchmark
                 cache.write(
                     "fmi", key, [&](store::StoreWriter& writer) {
                         store::addFmIndex(writer, *fm_);
-                        store::addByteRows(
-                            writer, "reads",
-                            std::span<const std::vector<u8>>(reads_));
+                        store::addPodRows<u8>(writer, "reads", reads_);
                     });
             });
     }

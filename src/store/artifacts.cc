@@ -1,6 +1,10 @@
 #include "store/artifacts.h"
 
+#include <algorithm>
 #include <cstring>
+#include <type_traits>
+
+#include "chain/chain.h"
 
 namespace gb::store {
 
@@ -45,6 +49,24 @@ struct StoredEvent
 static_assert(sizeof(StoredEvent) == 24 &&
               std::is_trivially_copyable_v<StoredEvent>);
 
+/** Packed on-disk form of an AlnRecord's fixed fields (16 bytes, no
+ *  padding). */
+struct StoredAlnFields
+{
+    u64 pos;
+    u32 ref_id;
+    u8 mapq;
+    u8 reverse;
+    u16 reserved;
+};
+static_assert(sizeof(StoredAlnFields) == 16 &&
+              std::has_unique_object_representations_v<StoredAlnFields>);
+
+/** CIGAR units pack BAM-style: length in the high 28 bits, op in the
+ *  low 4. */
+constexpr u32 kCigarOpBits = 4;
+constexpr u32 kNumCigarOps = static_cast<u32>(CigarOp::kDiff) + 1;
+
 void
 maybeVerify(StoreReader& reader, Verify verify,
             std::initializer_list<std::string> names)
@@ -71,18 +93,15 @@ rowOffsets(const Rows& rows, SizeOf size_of)
 
 std::span<const u64>
 checkedOffsets(StoreReader& reader, std::string_view prefix,
-               u64 blob_bytes, u64 elem_size)
+               u64 blob_elems)
 {
     const auto offsets = reader.sectionAs<u64>(sec(prefix, "offsets"));
     requireInput(!offsets.empty() && offsets.front() == 0 &&
-                     offsets.back() * elem_size == blob_bytes,
+                     offsets.back() == blob_elems,
                  "store: " + sec(prefix, "offsets") +
                      " inconsistent with blob size");
-    for (size_t i = 1; i < offsets.size(); ++i) {
-        requireInput(offsets[i - 1] <= offsets[i],
-                     "store: " + sec(prefix, "offsets") +
-                         " not monotonic");
-    }
+    requireInput(std::is_sorted(offsets.begin(), offsets.end()),
+                 "store: " + sec(prefix, "offsets") + " not monotonic");
     return offsets;
 }
 
@@ -204,31 +223,38 @@ readKmerCounter(StoreReader& reader, std::string_view prefix,
 // ---------------------------------------------------------------------
 // Ragged rows
 
+template <typename T>
 void
-addByteRows(StoreWriter& writer, std::string_view prefix,
-            std::span<const std::vector<u8>> rows)
+addPodRows(StoreWriter& writer, std::string_view prefix,
+           std::span<const std::vector<T>> rows)
 {
+    static_assert(std::has_unique_object_representations_v<T>,
+                  "padding bytes would make section digests "
+                  "nondeterministic");
     const auto offsets =
-        rowOffsets(rows, [](const std::vector<u8>& r) { return r.size(); });
-    std::vector<u8> blob;
+        rowOffsets(rows, [](const std::vector<T>& r) { return r.size(); });
+    std::vector<T> blob;
     blob.reserve(offsets.back());
     for (const auto& row : rows) {
         blob.insert(blob.end(), row.begin(), row.end());
     }
-    writer.addVec(sec(prefix, "blob"), std::span<const u8>(blob));
+    writer.addVec(sec(prefix, "blob"), std::span<const T>(blob));
     writer.addVec(sec(prefix, "offsets"),
                   std::span<const u64>(offsets));
 }
 
-std::vector<std::vector<u8>>
-readByteRows(StoreReader& reader, std::string_view prefix, Verify verify)
+template <typename T>
+std::vector<std::vector<T>>
+readPodRows(StoreReader& reader, std::string_view prefix, Verify verify)
 {
+    static_assert(std::has_unique_object_representations_v<T>,
+                  "padding bytes would make section digests "
+                  "nondeterministic");
     maybeVerify(reader, verify,
                 {sec(prefix, "blob"), sec(prefix, "offsets")});
-    const auto blob = reader.sectionAs<u8>(sec(prefix, "blob"));
-    const auto offsets =
-        checkedOffsets(reader, prefix, blob.size(), 1);
-    std::vector<std::vector<u8>> rows;
+    const auto blob = reader.sectionAs<T>(sec(prefix, "blob"));
+    const auto offsets = checkedOffsets(reader, prefix, blob.size());
+    std::vector<std::vector<T>> rows;
     rows.reserve(offsets.size() - 1);
     for (size_t i = 0; i + 1 < offsets.size(); ++i) {
         rows.emplace_back(blob.begin() + offsets[i],
@@ -237,18 +263,45 @@ readByteRows(StoreReader& reader, std::string_view prefix, Verify verify)
     return rows;
 }
 
+#define GB_POD_ROWS(T)                                                 \
+    template void addPodRows<T>(StoreWriter&, std::string_view,        \
+                                std::span<const std::vector<T>>);      \
+    template std::vector<std::vector<T>> readPodRows<T>(               \
+        StoreReader&, std::string_view, Verify);
+GB_POD_ROWS(u8)
+GB_POD_ROWS(u32)
+GB_POD_ROWS(Anchor)
+#undef GB_POD_ROWS
+
+namespace {
+
+/** String rows picked by `get` from each element of `items`, without
+ *  copying them into a row vector first. */
+template <typename Items, typename Get>
+void
+addStringColumn(StoreWriter& writer, std::string_view prefix,
+                const Items& items, Get get)
+{
+    const auto offsets = rowOffsets(
+        items, [&](const auto& item) { return get(item).size(); });
+    std::string blob;
+    blob.reserve(offsets.back());
+    for (const auto& item : items) blob += get(item);
+    writer.add(sec(prefix, "blob"), blob.data(), blob.size());
+    writer.addVec(sec(prefix, "offsets"),
+                  std::span<const u64>(offsets));
+}
+
+} // namespace
+
 void
 addStringRows(StoreWriter& writer, std::string_view prefix,
               std::span<const std::string> rows)
 {
-    const auto offsets =
-        rowOffsets(rows, [](const std::string& r) { return r.size(); });
-    std::string blob;
-    blob.reserve(offsets.back());
-    for (const auto& row : rows) blob += row;
-    writer.add(sec(prefix, "blob"), blob.data(), blob.size());
-    writer.addVec(sec(prefix, "offsets"),
-                  std::span<const u64>(offsets));
+    addStringColumn(writer, prefix, rows,
+                    [](const std::string& r) -> const std::string& {
+                        return r;
+                    });
 }
 
 std::vector<std::string>
@@ -258,8 +311,7 @@ readStringRows(StoreReader& reader, std::string_view prefix,
     maybeVerify(reader, verify,
                 {sec(prefix, "blob"), sec(prefix, "offsets")});
     const auto blob = reader.sectionAs<u8>(sec(prefix, "blob"));
-    const auto offsets =
-        checkedOffsets(reader, prefix, blob.size(), 1);
+    const auto offsets = checkedOffsets(reader, prefix, blob.size());
     std::vector<std::string> rows;
     rows.reserve(offsets.size() - 1);
     for (size_t i = 0; i + 1 < offsets.size(); ++i) {
@@ -302,9 +354,7 @@ readEventRows(StoreReader& reader, std::string_view prefix,
                 {sec(prefix, "blob"), sec(prefix, "offsets")});
     const auto blob =
         reader.sectionAs<StoredEvent>(sec(prefix, "blob"));
-    const auto offsets = checkedOffsets(reader, prefix,
-                                        blob.size() * sizeof(StoredEvent),
-                                        sizeof(StoredEvent));
+    const auto offsets = checkedOffsets(reader, prefix, blob.size());
     std::vector<std::vector<Event>> rows;
     rows.reserve(offsets.size() - 1);
     for (size_t i = 0; i + 1 < offsets.size(); ++i) {
@@ -321,6 +371,104 @@ readEventRows(StoreReader& reader, std::string_view prefix,
         rows.push_back(std::move(row));
     }
     return rows;
+}
+
+// ---------------------------------------------------------------------
+// Aligned-read records
+
+void
+addAlnRecords(StoreWriter& writer, std::string_view prefix,
+              std::span<const AlnRecord> records)
+{
+    std::vector<StoredAlnFields> fields;
+    std::vector<std::vector<u32>> cigars;
+    fields.reserve(records.size());
+    cigars.reserve(records.size());
+    for (const AlnRecord& rec : records) {
+        StoredAlnFields f{};
+        f.pos = rec.pos;
+        f.ref_id = rec.ref_id;
+        f.mapq = rec.mapq;
+        f.reverse = rec.reverse ? 1 : 0;
+        fields.push_back(f);
+        // CigarUnit carries 3 padding bytes, so it is never written
+        // raw.
+        std::vector<u32> packed;
+        packed.reserve(rec.cigar.units().size());
+        for (const CigarUnit& u : rec.cigar.units()) {
+            if (u.len >= (1u << (32 - kCigarOpBits))) {
+                throw InputError("store: CIGAR length too large to pack");
+            }
+            packed.push_back(u.len << kCigarOpBits |
+                             static_cast<u32>(u.op));
+        }
+        cigars.push_back(std::move(packed));
+    }
+    addStringColumn(writer, sec(prefix, "qname"), records,
+                    [](const AlnRecord& r) -> const std::string& {
+                        return r.qname;
+                    });
+    addStringColumn(writer, sec(prefix, "seq"), records,
+                    [](const AlnRecord& r) -> const std::string& {
+                        return r.seq;
+                    });
+    addStringColumn(writer, sec(prefix, "qual"), records,
+                    [](const AlnRecord& r) -> const std::string& {
+                        return r.qual;
+                    });
+    writer.addVec(sec(prefix, "fields"),
+                  std::span<const StoredAlnFields>(fields));
+    addPodRows<u32>(writer, sec(prefix, "cigar"), cigars);
+}
+
+std::vector<AlnRecord>
+readAlnRecords(StoreReader& reader, std::string_view prefix,
+               Verify verify)
+{
+    maybeVerify(reader, verify, {sec(prefix, "fields")});
+    auto qnames = readStringRows(reader, sec(prefix, "qname"), verify);
+    auto seqs = readStringRows(reader, sec(prefix, "seq"), verify);
+    auto quals = readStringRows(reader, sec(prefix, "qual"), verify);
+    const auto fields =
+        reader.sectionAs<StoredAlnFields>(sec(prefix, "fields"));
+    const auto cigars =
+        readPodRows<u32>(reader, sec(prefix, "cigar"), verify);
+    const size_t n = fields.size();
+    requireInput(qnames.size() == n && seqs.size() == n &&
+                     quals.size() == n && cigars.size() == n,
+                 "store: " + std::string(prefix) +
+                     " record sections disagree on the record count");
+
+    std::vector<AlnRecord> records(n);
+    for (size_t i = 0; i < n; ++i) {
+        AlnRecord& rec = records[i];
+        if (fields[i].reverse > 1) {
+            throw InputError("store: " + sec(prefix, "fields") +
+                             " has a bad strand flag");
+        }
+        rec.qname = std::move(qnames[i]);
+        rec.ref_id = fields[i].ref_id;
+        rec.pos = fields[i].pos;
+        rec.mapq = fields[i].mapq;
+        rec.reverse = fields[i].reverse != 0;
+        std::vector<CigarUnit> units;
+        units.reserve(cigars[i].size());
+        for (const u32 code : cigars[i]) {
+            const u32 op = code & ((1u << kCigarOpBits) - 1);
+            // Not requireInput: its message would be built per unit.
+            if (op >= kNumCigarOps) {
+                throw InputError("store: " + sec(prefix, "cigar") +
+                                 " has an unknown CIGAR op");
+            }
+            units.push_back(CigarUnit{code >> kCigarOpBits,
+                                      static_cast<CigarOp>(op)});
+        }
+        rec.cigar = Cigar(std::move(units));
+        rec.seq = std::move(seqs[i]);
+        rec.qual = std::move(quals[i]);
+        rec.validate();
+    }
+    return records;
 }
 
 } // namespace gb::store

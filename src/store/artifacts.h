@@ -2,15 +2,16 @@
  * @file
  * Serializers between suite artifacts and gb::store containers.
  *
- * Three artifact families (the expensive prepare()-phase products):
+ * Artifact families (the expensive prepare()-phase products):
  *   - FM-index / BWT        (src/index) — sections "<p>.meta",
  *     "<p>.counts", "<p>.bwt", "<p>.sa"; loadable as an owning copy or
  *     as a zero-copy view over an mmap'd reader.
  *   - k-mer count tables    (src/kmer) — "<p>.meta", "<p>.keys",
  *     "<p>.counts".
- *   - synthesized datasets  (src/simdata) — ragged rows of encoded
- *     reads ("<p>.blob" + "<p>.offsets"), reference strings, and
- *     nanopore event streams.
+ *   - synthesized datasets  (src/simdata) — ragged rows
+ *     ("<p>.blob" + "<p>.offsets") of encoded reads, chaining anchors,
+ *     reference strings and nanopore event streams, plus aligned-read
+ *     records.
  *
  * All loaders verify the section digests by default (Verify::kDigest);
  * pass Verify::kNone to trade corruption detection for a strictly
@@ -26,6 +27,7 @@
 
 #include "abea/event_detect.h"
 #include "index/fm_index.h"
+#include "io/alignment.h"
 #include "kmer/kmer_counter.h"
 #include "store/container.h"
 #include "util/common.h"
@@ -72,12 +74,20 @@ KmerCounter readKmerCounter(StoreReader& reader,
 // ---------------------------------------------------------------------
 // Synthesized datasets: ragged rows stored as blob + offsets
 
-/** Encoded reads (2-bit-code byte rows). */
-void addByteRows(StoreWriter& writer, std::string_view prefix,
-                 std::span<const std::vector<u8>> rows);
-std::vector<std::vector<u8>> readByteRows(
-    StoreReader& reader, std::string_view prefix,
-    Verify verify = Verify::kDigest);
+/**
+ * Ragged rows of a trivially-copyable, padding-free element type:
+ * "<p>.blob" holds every row back to back, "<p>.offsets" the n+1
+ * prefix element offsets. Padding bytes would make section digests
+ * nondeterministic, so T must have unique object representations.
+ * Instantiated for u8 (encoded reads), u32 and gb::Anchor.
+ */
+template <typename T>
+void addPodRows(StoreWriter& writer, std::string_view prefix,
+                std::span<const std::vector<T>> rows);
+template <typename T>
+std::vector<std::vector<T>> readPodRows(StoreReader& reader,
+                                        std::string_view prefix,
+                                        Verify verify = Verify::kDigest);
 
 /** Reference segments / basecalled sequences. */
 void addStringRows(StoreWriter& writer, std::string_view prefix,
@@ -92,6 +102,19 @@ void addEventRows(StoreWriter& writer, std::string_view prefix,
 std::vector<std::vector<Event>> readEventRows(
     StoreReader& reader, std::string_view prefix,
     Verify verify = Verify::kDigest);
+
+/**
+ * Aligned-read records: qname/seq/qual as string rows
+ * ("<p>.qname.*", "<p>.seq.*", "<p>.qual.*"), the fixed fields as one
+ * packed record per read ("<p>.fields"), and each CIGAR packed
+ * BAM-style as len<<4|op u32 rows ("<p>.cigar.*"). The loader rejects
+ * unknown CIGAR ops and validates every record.
+ */
+void addAlnRecords(StoreWriter& writer, std::string_view prefix,
+                   std::span<const AlnRecord> records);
+std::vector<AlnRecord> readAlnRecords(StoreReader& reader,
+                                      std::string_view prefix,
+                                      Verify verify = Verify::kDigest);
 
 } // namespace gb::store
 

@@ -2,20 +2,25 @@
  * @file
  * Tests for the gb::store artifact store: container round trips in
  * both reader modes, corruption/truncation/version detection, the
- * FM-index / k-mer-table / dataset serializers, and the build-or-load
- * cache (including warm-vs-cold kernel-input identity).
+ * FM-index / k-mer-table / dataset / anchor / alignment-record
+ * serializers, and the build-or-load cache (including warm-vs-cold
+ * kernel-input identity).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "arch/probe.h"
+#include "chain/chain.h"
 #include "core/benchmark.h"
 #include "index/fm_index.h"
+#include "io/alignment.h"
 #include "io/dna.h"
 #include "kmer/kmer_counter.h"
 #include "store/artifacts.h"
@@ -394,7 +399,7 @@ TEST(StoreArtifacts, RaggedRowsRoundTrip)
     const std::string path = scratch.file("rows.gbs");
     {
         StoreWriter writer(path);
-        store::addByteRows(writer, "bytes",
+        store::addPodRows<u8>(writer, "bytes",
                            std::span<const std::vector<u8>>(byte_rows));
         store::addStringRows(
             writer, "strings",
@@ -407,7 +412,7 @@ TEST(StoreArtifacts, RaggedRowsRoundTrip)
 
     for (ReadMode mode : {ReadMode::kMmap, ReadMode::kStream}) {
         auto reader = StoreReader::open(path, mode);
-        EXPECT_EQ(store::readByteRows(reader, "bytes"), byte_rows);
+        EXPECT_EQ(store::readPodRows<u8>(reader, "bytes"), byte_rows);
         EXPECT_EQ(store::readStringRows(reader, "strings"),
                   string_rows);
         const auto events = store::readEventRows(reader, "events");
@@ -425,6 +430,147 @@ TEST(StoreArtifacts, RaggedRowsRoundTrip)
     }
 }
 
+TEST(StoreArtifacts, AnchorRowsRoundTrip)
+{
+    ScratchDir scratch;
+    const std::vector<std::vector<Anchor>> rows{
+        {{15, 14, 15}, {40, 38, 15}, {0xFFFFFFFFu, 7, 15}},
+        {},
+        {{1, 2, 3}}};
+    const std::string path = scratch.file("anchors.gbs");
+    {
+        StoreWriter writer(path);
+        store::addPodRows<Anchor>(writer, "anchors", rows);
+        writer.finish();
+    }
+    for (ReadMode mode : {ReadMode::kMmap, ReadMode::kStream}) {
+        auto reader = StoreReader::open(path, mode);
+        EXPECT_EQ(store::readPodRows<Anchor>(reader, "anchors"), rows);
+    }
+}
+
+/** Records covering every CIGAR op, both strands, empty and present
+ *  qualities, and a non-default ref_id / mapq. */
+std::vector<AlnRecord>
+sampleAlnRecords()
+{
+    std::vector<AlnRecord> records(3);
+    records[0].qname = "read/1";
+    records[0].pos = 100;
+    records[0].cigar = Cigar::parse("2S3M1I2=1X2D4M");
+    records[0].seq = "ACGTACGTACGTA";
+    records[0].qual = "IIIII#####!!!";
+    records[1].qname = "r2";
+    records[1].ref_id = 3;
+    records[1].pos = 1ull << 40;
+    records[1].mapq = 7;
+    records[1].reverse = true;
+    records[1].cigar = Cigar::parse("5M");
+    records[1].seq = "GGGGG";
+    records[2].qname = "long";
+    records[2].pos = 5;
+    records[2].cigar = Cigar(std::vector<CigarUnit>{
+        {(1u << 28) - 1, CigarOp::kDeletion}, {1, CigarOp::kMatch}});
+    records[2].seq = "T";
+    records[2].qual = "~";
+    return records;
+}
+
+void
+expectSameRecords(const std::vector<AlnRecord>& got,
+                  const std::vector<AlnRecord>& want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].qname, want[i].qname) << i;
+        EXPECT_EQ(got[i].ref_id, want[i].ref_id) << i;
+        EXPECT_EQ(got[i].pos, want[i].pos) << i;
+        EXPECT_EQ(got[i].mapq, want[i].mapq) << i;
+        EXPECT_EQ(got[i].reverse, want[i].reverse) << i;
+        EXPECT_EQ(got[i].cigar, want[i].cigar) << i;
+        EXPECT_EQ(got[i].seq, want[i].seq) << i;
+        EXPECT_EQ(got[i].qual, want[i].qual) << i;
+    }
+}
+
+TEST(StoreArtifacts, AlnRecordsRoundTrip)
+{
+    ScratchDir scratch;
+    const auto records = sampleAlnRecords();
+    std::vector<bool> seen_op(6, false);
+    for (const auto& rec : records) {
+        for (const auto& unit : rec.cigar.units()) {
+            seen_op[static_cast<size_t>(unit.op)] = true;
+        }
+    }
+    ASSERT_EQ(std::count(seen_op.begin(), seen_op.end(), true), 6);
+
+    const std::string path = scratch.file("aln.gbs");
+    {
+        StoreWriter writer(path);
+        store::addAlnRecords(writer, "aln", records);
+        writer.finish();
+    }
+    for (ReadMode mode : {ReadMode::kMmap, ReadMode::kStream}) {
+        auto reader = StoreReader::open(path, mode);
+        expectSameRecords(store::readAlnRecords(reader, "aln"),
+                          records);
+    }
+}
+
+TEST(StoreArtifacts, RowLoadersRejectMalformedSections)
+{
+    ScratchDir scratch;
+    const std::string path = scratch.file("bad.gbs");
+    {
+        StoreWriter writer(path);
+        // Blob of 13 bytes: not a whole number of 12-byte anchors.
+        const std::vector<u8> ragged(13, 1);
+        const std::vector<u64> ragged_off{0, 1};
+        writer.addVec("ragged.blob", std::span<const u8>(ragged));
+        writer.addVec("ragged.offsets",
+                      std::span<const u64>(ragged_off));
+        // Offsets that run backwards.
+        const std::vector<Anchor> two{{1, 1, 15}, {2, 2, 15}};
+        const std::vector<u64> backwards{0, 2, 1, 2};
+        writer.addVec("back.blob", std::span<const Anchor>(two));
+        writer.addVec("back.offsets", std::span<const u64>(backwards));
+        // A CIGAR op code past kDiff.
+        auto bad_op = sampleAlnRecords();
+        bad_op[1].cigar =
+            Cigar(std::vector<CigarUnit>{{5, static_cast<CigarOp>(6)}});
+        store::addAlnRecords(writer, "badop", bad_op);
+        // A record whose CIGAR disagrees with its sequence.
+        auto bad_len = sampleAlnRecords();
+        bad_len[0].seq += "A";
+        bad_len[0].qual.clear();
+        store::addAlnRecords(writer, "badlen", bad_len);
+        writer.finish();
+    }
+    auto reader = StoreReader::open(path);
+    // Each section's digest is intact, so every rejection below comes
+    // from the loader's own structural check.
+    const auto rejects = [&](const std::function<void()>& load,
+                             const std::string& why) {
+        try {
+            load();
+            ADD_FAILURE() << "accepted; expected: " << why;
+        } catch (const InputError& e) {
+            EXPECT_NE(std::string(e.what()).find(why),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    rejects([&] { store::readPodRows<Anchor>(reader, "ragged"); },
+            "not a multiple of element size");
+    rejects([&] { store::readPodRows<Anchor>(reader, "back"); },
+            "not monotonic");
+    rejects([&] { store::readAlnRecords(reader, "badop"); },
+            "unknown CIGAR op");
+    rejects([&] { store::readAlnRecords(reader, "badlen"); },
+            "CIGAR query length");
+}
+
 // ---------------------------------------------------------------------
 // Cache
 
@@ -440,7 +586,7 @@ TEST(StoreCache, BuildOrLoadAndCorruptFallback)
     const std::vector<std::vector<u8>> rows{{1, 2, 3}, {4, 5}};
     ASSERT_TRUE(cache.write("fam", key,
                             [&](StoreWriter& writer) {
-                                store::addByteRows(
+                                store::addPodRows<u8>(
                                     writer, "rows",
                                     std::span<const std::vector<u8>>(
                                         rows));
@@ -449,7 +595,7 @@ TEST(StoreCache, BuildOrLoadAndCorruptFallback)
     auto reader = cache.tryOpen("fam", key);
     ASSERT_NE(reader, nullptr);
     EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(store::readByteRows(*reader, "rows"), rows);
+    EXPECT_EQ(store::readPodRows<u8>(*reader, "rows"), rows);
 
     // Different key: clean miss.
     EXPECT_EQ(cache.tryOpen("fam", key + 1), nullptr);
@@ -474,7 +620,7 @@ TEST(StoreCache, LoadDiscardsPayloadCorruptFile)
     const u64 key = 99;
     const std::vector<std::vector<u8>> rows{{1, 2, 3, 4, 5, 6, 7, 8}};
     ASSERT_TRUE(cache.write("fam", key, [&](StoreWriter& writer) {
-        store::addByteRows(writer, "rows",
+        store::addPodRows<u8>(writer, "rows",
                            std::span<const std::vector<u8>>(rows));
     }));
     // Damage the first payload byte: the TOC stays valid, so tryOpen
@@ -485,7 +631,7 @@ TEST(StoreCache, LoadDiscardsPayloadCorruptFile)
     bool used = false;
     const bool loaded =
         cache.load("fam", key, [&](const auto& reader) {
-            store::readByteRows(*reader, "rows");
+            store::readPodRows<u8>(*reader, "rows");
             used = true;
         });
     EXPECT_FALSE(loaded);
@@ -496,12 +642,12 @@ TEST(StoreCache, LoadDiscardsPayloadCorruptFile)
 
     // The caller rebuilds and re-writes; the next load succeeds.
     ASSERT_TRUE(cache.write("fam", key, [&](StoreWriter& writer) {
-        store::addByteRows(writer, "rows",
+        store::addPodRows<u8>(writer, "rows",
                            std::span<const std::vector<u8>>(rows));
     }));
     std::vector<std::vector<u8>> reloaded;
     EXPECT_TRUE(cache.load("fam", key, [&](const auto& reader) {
-        reloaded = store::readByteRows(*reader, "rows");
+        reloaded = store::readPodRows<u8>(*reader, "rows");
     }));
     EXPECT_EQ(reloaded, rows);
 }
@@ -522,7 +668,8 @@ TEST(StoreCache, DisabledCacheIsInert)
 TEST(StoreCache, WarmPrepareMatchesColdPrepare)
 {
     ScratchDir scratch;
-    for (const char* name : {"fmi", "kmer-cnt", "abea"}) {
+    for (const char* name :
+         {"fmi", "kmer-cnt", "abea", "chain", "pileup"}) {
         store::setCacheDir(scratch.dir());
         const u64 hits_before = store::globalCache().hits();
 
@@ -543,6 +690,47 @@ TEST(StoreCache, WarmPrepareMatchesColdPrepare)
         plain->prepare(DatasetSize::kTiny);
         EXPECT_EQ(plain->taskWork(), cold_work) << name;
     }
+    store::setCacheDir("");
+}
+
+/**
+ * A chain artifact with a flipped payload byte fails its digest check
+ * on load; prepare() must discard it, rebuild, and end up with the
+ * same kernel inputs.
+ */
+TEST(StoreCache, CorruptChainArtifactIsRebuilt)
+{
+    ScratchDir scratch;
+    store::setCacheDir(scratch.dir());
+    auto& cache = store::globalCache();
+
+    auto cold = createKernel("chain");
+    cold->prepare(DatasetSize::kTiny);
+    const auto cold_work = cold->taskWork();
+
+    std::vector<std::string> files;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(scratch.dir())) {
+        files.push_back(entry.path().string());
+    }
+    ASSERT_EQ(files.size(), 1u);
+    ASSERT_EQ(std::filesystem::path(files[0]).filename().string().rfind(
+                  "chain-", 0),
+              0u);
+    flipByte(files[0], store::kAlign + 5);
+
+    const u64 builds_before = cache.builds();
+    auto rebuilt = createKernel("chain");
+    rebuilt->prepare(DatasetSize::kTiny);
+    EXPECT_EQ(cache.builds(), builds_before + 1);
+    EXPECT_EQ(rebuilt->taskWork(), cold_work);
+
+    // The rebuild re-published a valid artifact.
+    const u64 hits_before = cache.hits();
+    auto warm = createKernel("chain");
+    warm->prepare(DatasetSize::kTiny);
+    EXPECT_EQ(cache.hits(), hits_before + 1);
+    EXPECT_EQ(warm->taskWork(), cold_work);
     store::setCacheDir("");
 }
 

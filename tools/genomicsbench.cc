@@ -773,9 +773,13 @@ main(int argc, char** argv)
                 } else if (arg.rfind("--engine=", 0) == 0) {
                     engine = parseEngine(arg.substr(9));
                 } else if (arg.rfind("--cache-dir=", 0) == 0) {
+                    requireInput(arg.size() > 12,
+                                 "--cache-dir needs a directory path");
                     store::setCacheDir(arg.substr(12));
                 } else if (arg.rfind("--json=", 0) == 0) {
                     json_path = arg.substr(7);
+                    requireInput(!json_path.empty(),
+                                 "--json needs a file path");
                 } else if (arg.rfind("--trace=", 0) == 0) {
                     trace_path = arg.substr(8);
                     requireInput(!trace_path.empty(),
