@@ -6,8 +6,9 @@
  * the per-table characterization binaries.
  *
  * Kernels with a real SIMD engine (bsw, phmm, fmi, kmer-cnt, chain,
- * spoa) get one timed entry per engine so the measured scalar-vs-SIMD
- * speedup sits next to the modeled cell-update ratio from bench_fig3. `--engine=scalar|simd`
+ * spoa, and grm/nn-base/nn-variant on the shared GEMM) get one timed
+ * entry per engine so the measured scalar-vs-SIMD speedup sits next to
+ * the modeled cell-update ratio from bench_fig3. `--engine=scalar|simd`
  * restricts registration to one engine (default: both), e.g.
  *
  *   bench_kernels --engine=simd --benchmark_filter=bsw
@@ -91,13 +92,14 @@ runKernel(benchmark::State& state, const std::string& name,
 
 /** Kernels with a non-scalar execution engine: gb::simd lockstep
  *  batches (bsw, phmm), gb::mlp prefetch-pipelined batches with SIMD
- *  occ resolution (fmi, kmer-cnt), or the wave-3 vectorized DPs
- *  (chain, spoa). */
+ *  occ resolution (fmi, kmer-cnt), the wave-3 vectorized DPs (chain,
+ *  spoa), or the shared GEMM (grm, nn-base, nn-variant). */
 bool
 hasSimdEngine(const std::string& name)
 {
     return name == "bsw" || name == "phmm" || name == "fmi" ||
-           name == "kmer-cnt" || name == "chain" || name == "spoa";
+           name == "kmer-cnt" || name == "chain" || name == "spoa" ||
+           name == "grm" || name == "nn-base" || name == "nn-variant";
 }
 
 void

@@ -211,7 +211,7 @@ class GrmKernel final : public Benchmark
     u64
     run(ThreadPool& pool) override
     {
-        computeGrm(matrix_, pool);
+        computeGrm(matrix_, pool, gemmFor(engine()));
         const u64 tiles = ceilDiv(matrix_.num_individuals, 64u);
         return tiles * (tiles + 1) / 2;
     }
@@ -425,11 +425,12 @@ class NnVariantKernel final : public Benchmark
     u64
     run(ThreadPool& pool) override
     {
+        const simd::SgemmFn gemm = gemmFor(engine());
         pool.parallelFor(
             features_.size(),
             [&](u64 i) {
                 NullProbe probe;
-                model_.predict(features_[i], probe);
+                model_.predict(features_[i], probe, gemm);
             },
             8);
         return features_.size();

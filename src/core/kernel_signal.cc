@@ -220,9 +220,10 @@ class NnBaseKernel final : public Benchmark
     u64
     run(ThreadPool& pool) override
     {
+        const simd::SgemmFn gemm = gemmFor(engine());
         pool.parallelFor(chunks_.size(), [&](u64 i) {
             NullProbe probe;
-            model_.forward(chunks_[i], probe);
+            model_.forward(chunks_[i], probe, gemm);
         });
         return chunks_.size();
     }

@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "core/benchmark.h"
+#include "simd/gemm_engine.h"
 
 namespace gb {
 
@@ -25,6 +26,18 @@ std::unique_ptr<Benchmark> makeGrmKernel();
 std::unique_ptr<Benchmark> makePileupKernel();
 std::unique_ptr<Benchmark> makeNnBaseKernel();
 std::unique_ptr<Benchmark> makeNnVariantKernel();
+
+/**
+ * The GEMM grm, nn-base and nn-variant run on under an engine: the
+ * portable reference, or the active SIMD level (same output bits).
+ */
+inline simd::SgemmFn
+gemmFor(Engine engine)
+{
+    return engine == Engine::kSimd
+               ? simd::sgemmFor(simd::activeSimdLevel())
+               : simd::sgemmScalar;
+}
 
 } // namespace gb
 

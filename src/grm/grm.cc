@@ -1,5 +1,6 @@
 #include "grm/grm.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace gb {
@@ -36,24 +37,28 @@ standardizeGenotypes(const GenotypeMatrix& m)
                        : 0.0f; // monomorphic site contributes nothing
     }
 
-    for (u32 i = 0; i < m.num_individuals; ++i) {
+    for (u32 i0 = 0; i0 < m.num_individuals; i0 += kGrmTile) {
+        const u32 width = std::min(kGrmTile, m.num_individuals - i0);
+        float* panel = &z[static_cast<size_t>(i0) * m.num_sites];
         for (u32 s = 0; s < m.num_sites; ++s) {
-            const i8 g = m.at(i, s);
-            float v = 0.0f; // missing -> mean imputation -> 0
-            if (g != kMissingGenotype) {
-                v = (static_cast<float>(g) - mean[s]) * scale[s];
+            for (u32 r = 0; r < width; ++r) {
+                const i8 g = m.at(i0 + r, s);
+                float v = 0.0f; // missing -> mean imputation -> 0
+                if (g != kMissingGenotype) {
+                    v = (static_cast<float>(g) - mean[s]) * scale[s];
+                }
+                panel[static_cast<size_t>(s) * width + r] = v;
             }
-            z[static_cast<size_t>(i) * m.num_sites + s] = v;
         }
     }
     return z;
 }
 
 GrmResult
-computeGrm(const GenotypeMatrix& m, ThreadPool& pool)
+computeGrm(const GenotypeMatrix& m, ThreadPool& pool, simd::SgemmFn gemm)
 {
     NullProbe probe;
-    return computeGrm(m, pool, probe);
+    return computeGrm(m, pool, probe, gemm);
 }
 
 } // namespace gb

@@ -10,14 +10,18 @@ void
 AlnRecord::validate() const
 {
     requireInput(!qname.empty(), "alignment record: empty read name");
-    requireInput(cigar.queryLen() == seq.size(),
-                 "alignment record '" + qname +
-                     "': CIGAR query length " +
-                     std::to_string(cigar.queryLen()) +
-                     " != sequence length " + std::to_string(seq.size()));
-    requireInput(qual.empty() || qual.size() == seq.size(),
-                 "alignment record '" + qname +
-                     "': quality length mismatch");
+    // Called per record on every store load: build messages on failure.
+    if (cigar.queryLen() != seq.size()) {
+        throw InputError("alignment record '" + qname +
+                         "': CIGAR query length " +
+                         std::to_string(cigar.queryLen()) +
+                         " != sequence length " +
+                         std::to_string(seq.size()));
+    }
+    if (!qual.empty() && qual.size() != seq.size()) {
+        throw InputError("alignment record '" + qname +
+                         "': quality length mismatch");
+    }
 }
 
 void

@@ -65,11 +65,12 @@ BonitoModel::macsPerChunk() const
 
 template <typename Probe>
 Tensor2
-BonitoModel::forward(const Tensor2& chunk, Probe& probe) const
+BonitoModel::forward(const Tensor2& chunk, Probe& probe,
+                     simd::SgemmFn gemm) const
 {
     Tensor2 x = chunk;
     for (const auto& layer : layers_) {
-        x = layer.forward(x, probe);
+        x = layer.forward(x, probe, gemm);
     }
     softmaxRows(x);
     probe.op(OpClass::kFpAlu,
@@ -103,7 +104,8 @@ BonitoModel::basecall(std::span<const float> samples, Probe& probe,
 
 // Explicit instantiations.
 #define GB_BONITO_INSTANTIATE(P)                                        \
-    template Tensor2 BonitoModel::forward<P>(const Tensor2&, P&) const; \
+    template Tensor2 BonitoModel::forward<P>(const Tensor2&, P&,        \
+                                             simd::SgemmFn) const;      \
     template std::string BonitoModel::basecall<P>(                     \
         std::span<const float>, P&, Decoder, u32) const;
 

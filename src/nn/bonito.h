@@ -43,10 +43,12 @@ class BonitoModel
      * Run the network on one normalized chunk.
      *
      * @param chunk [T][1] normalized samples (T <= chunk_size).
+     * @param gemm  GEMM the convolutions run on (layers.h).
      * @return [T/stride][5] per-frame class probabilities.
      */
     template <typename Probe>
-    Tensor2 forward(const Tensor2& chunk, Probe& probe) const;
+    Tensor2 forward(const Tensor2& chunk, Probe& probe,
+                    simd::SgemmFn gemm = simd::sgemmScalar) const;
 
     /** CTC decoding strategy for basecall(). */
     enum class Decoder : u8 { kGreedy, kBeam };

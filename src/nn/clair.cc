@@ -49,7 +49,8 @@ headOutput(Tensor2 logits, std::array<float, N>& out)
 
 template <typename Probe>
 ClairOutput
-ClairModel::predict(std::span<const float> features, Probe& probe) const
+ClairModel::predict(std::span<const float> features, Probe& probe,
+                    simd::SgemmFn gemm) const
 {
     requireInput(features.size() ==
                      static_cast<size_t>(config_.window) *
@@ -58,16 +59,16 @@ ClairModel::predict(std::span<const float> features, Probe& probe) const
     Tensor2 x(config_.window, config_.features);
     std::copy(features.begin(), features.end(), x.data.begin());
 
-    const Tensor2 h1 = lstm1_.forward(x, probe);
-    const Tensor2 h2 = lstm2_.forward(h1, probe);
+    const Tensor2 h1 = lstm1_.forward(x, probe, gemm);
+    const Tensor2 h2 = lstm2_.forward(h1, probe, gemm);
     const Tensor2 pooled = meanPoolRows(h2);
-    const Tensor2 fc = fc1_.forward(pooled, probe);
+    const Tensor2 fc = fc1_.forward(pooled, probe, gemm);
 
     ClairOutput out;
-    headOutput(head_alt_.forward(fc, probe), out.alt_base);
-    headOutput(head_zyg_.forward(fc, probe), out.zygosity);
-    headOutput(head_type_.forward(fc, probe), out.var_type);
-    headOutput(head_indel_.forward(fc, probe), out.indel_len);
+    headOutput(head_alt_.forward(fc, probe, gemm), out.alt_base);
+    headOutput(head_zyg_.forward(fc, probe, gemm), out.zygosity);
+    headOutput(head_type_.forward(fc, probe, gemm), out.var_type);
+    headOutput(head_indel_.forward(fc, probe, gemm), out.indel_len);
     return out;
 }
 
@@ -87,7 +88,8 @@ ClairModel::predictBatch(std::span<const std::vector<float>> batch,
 // Explicit instantiations.
 #define GB_CLAIR_INSTANTIATE(P)                                         \
     template ClairOutput ClairModel::predict<P>(std::span<const float>, \
-                                                P&) const;              \
+                                                P&, simd::SgemmFn)      \
+        const;                                                          \
     template std::vector<ClairOutput> ClairModel::predictBatch<P>(      \
         std::span<const std::vector<float>>, P&) const;
 

@@ -49,19 +49,18 @@ class ClairModel
     explicit ClairModel(const ClairConfig& config = {});
 
     /**
-     * Predict for one feature tensor (kClairFeatureSize floats).
+     * Predict for one feature tensor (kClairFeatureSize floats),
+     * with every layer on `gemm` (layers.h).
      */
     template <typename Probe>
-    ClairOutput predict(std::span<const float> features,
-                        Probe& probe) const;
+    ClairOutput predict(std::span<const float> features, Probe& probe,
+                        simd::SgemmFn gemm = simd::sgemmScalar) const;
 
     /** Batched prediction (the kernel's data-parallel unit). */
     template <typename Probe>
     std::vector<ClairOutput>
     predictBatch(std::span<const std::vector<float>> batch,
                  Probe& probe) const;
-
-    const ClairConfig& config() const { return config_; }
 
   private:
     ClairConfig config_;

@@ -10,6 +10,13 @@
  * templated on the Probe policy; one op(kVecAlu) is reported per
  * 8-wide FMA bundle, matching how the real kernels map onto SIMD/tensor
  * units.
+ *
+ * Dense, LSTM and (non-depthwise) convolution multiply-accumulates run
+ * on one GEMM (simd/gemm_engine.h), passed in as `gemm`:
+ * simd::sgemmScalar (the default, and what characterization uses) or
+ * a dispatched SIMD level. All of them sum each output in the same
+ * order, so the choice never changes a bit. Weights are stored
+ * transposed for it, input-major ([in][out]).
  */
 #ifndef GB_NN_LAYERS_H
 #define GB_NN_LAYERS_H
@@ -19,6 +26,7 @@
 
 #include "arch/probe.h"
 #include "nn/tensor.h"
+#include "simd/gemm_engine.h"
 #include "util/common.h"
 #include "util/rng.h"
 
@@ -46,12 +54,12 @@ class Conv1d
 
     /** Forward: input [T][in_ch] -> output [ceil(T/stride)][out_ch]. */
     template <typename Probe>
-    Tensor2 forward(const Tensor2& input, Probe& probe) const;
+    Tensor2 forward(const Tensor2& input, Probe& probe,
+                    simd::SgemmFn gemm = simd::sgemmScalar) const;
 
     /** Multiply-accumulates per input timestep (work accounting). */
     u64 macsPerFrame() const;
 
-    u32 outChannels() const { return out_channels_; }
     u32 stride() const { return stride_; }
 
   private:
@@ -61,7 +69,8 @@ class Conv1d
     u32 stride_;
     u32 groups_;
     Activation act_;
-    // weights_[oc][ic_per_group * kernel], row-major per out channel.
+    // weights_[ic * kernel + k][oc]: tap k's GEMM operand starts at row
+    // k with ldb = kernel * out_channels (group g: columns g*oc/groups).
     Tensor2 weights_;
     std::vector<float> bias_;
 };
@@ -74,15 +83,14 @@ class Dense
 
     /** Forward: [N][in] -> [N][out]. */
     template <typename Probe>
-    Tensor2 forward(const Tensor2& input, Probe& probe) const;
-
-    u32 outFeatures() const { return out_features_; }
+    Tensor2 forward(const Tensor2& input, Probe& probe,
+                    simd::SgemmFn gemm = simd::sgemmScalar) const;
 
   private:
     u32 in_features_;
     u32 out_features_;
     Activation act_;
-    Tensor2 weights_; ///< [out][in]
+    Tensor2 weights_; ///< [in][out]
     std::vector<float> bias_;
 };
 
@@ -96,22 +104,26 @@ class BiLstm
     BiLstm(u32 in_features, u32 hidden, u64 seed);
 
     template <typename Probe>
-    Tensor2 forward(const Tensor2& input, Probe& probe) const;
-
-    u32 hidden() const { return hidden_; }
+    Tensor2 forward(const Tensor2& input, Probe& probe,
+                    simd::SgemmFn gemm = simd::sgemmScalar) const;
 
   private:
-    /** One direction's parameters: gates [4*hidden][in + hidden]. */
+    /**
+     * One direction's parameters. Rows [0, in) of w are W_x and rows
+     * [in, in+hidden) are W_h, so the gate pre-activations are one
+     * GEMM over all timesteps (bias + x W_x) continued per step by
+     * h W_h — each gate still sums its x terms, then its h terms.
+     */
     struct Direction
     {
-        Tensor2 w;               ///< [4*hidden][in+hidden]
+        Tensor2 w;               ///< [in+hidden][4*hidden]
         std::vector<float> bias; ///< [4*hidden]
     };
 
     template <typename Probe>
     void runDirection(const Direction& dir, const Tensor2& input,
                       bool backward, Tensor2& out, u32 out_offset,
-                      Probe& probe) const;
+                      Probe& probe, simd::SgemmFn gemm) const;
 
     u32 in_features_;
     u32 hidden_;
@@ -121,9 +133,6 @@ class BiLstm
 
 /** Row-wise softmax in place. */
 void softmaxRows(Tensor2& t);
-
-/** Row-wise log-softmax in place. */
-void logSoftmaxRows(Tensor2& t);
 
 } // namespace gb
 

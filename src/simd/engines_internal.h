@@ -10,6 +10,7 @@
 
 #include "align/banded_sw.h"
 #include "chain/chain.h"
+#include "simd/gemm_engine.h"
 #include "simd/poa_engine.h"
 #include "util/common.h"
 
@@ -96,6 +97,13 @@ void poaRowPassAvx2(const PoaRowPassArgs& args);
  */
 void poaInsScanSse4(const PoaInsScanArgs& args);
 void poaInsScanAvx2(const PoaInsScanArgs& args);
+
+/**
+ * C += A * B over whole vectors of output columns with scalar column
+ * tails; the per-element order contract of gemm_engine.h.
+ */
+void sgemmSse4(const SgemmArgs& args);
+void sgemmAvx2(const SgemmArgs& args);
 
 } // namespace gb::simd::detail
 

@@ -1,0 +1,15 @@
+/** AVX2 instantiation of the GEMM. */
+#define GB_SIMD_TARGET_AVX2 1
+#include "simd/gemm_engine_impl.h"
+
+#include "simd/engines_internal.h"
+
+namespace gb::simd::detail {
+
+void
+sgemmAvx2(const SgemmArgs& args)
+{
+    sgemmVec(args);
+}
+
+} // namespace gb::simd::detail

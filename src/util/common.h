@@ -44,6 +44,17 @@ requireInput(bool cond, const std::string& what)
     if (!cond) throw InputError(what);
 }
 
+/**
+ * Literal-message overload: no std::string is built unless the check
+ * fails. Messages composed at run time belong after a failed check
+ * (`if (!cond) throw InputError(...)`), not in the argument list.
+ */
+inline void
+requireInput(bool cond, const char* what)
+{
+    if (!cond) throw InputError(what);
+}
+
 /** Integer ceiling division for non-negative operands. */
 template <typename T>
 constexpr T

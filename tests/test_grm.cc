@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "grm/grm.h"
+#include "simd/gemm_engine.h"
 #include "simdata/genotypes.h"
+#include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace gb {
@@ -210,5 +214,64 @@ TEST(Grm, SingleThreadAndMultiThreadAgree)
     EXPECT_EQ(a.g, b.g);
 }
 
+/**
+ * Every GEMM the tiles can run on: the reference, each level this host
+ * executes, and the active level (the one --engine=simd dispatches).
+ */
+std::vector<std::pair<std::string, simd::SgemmFn>>
+gemmsUnderTest()
+{
+    std::vector<std::pair<std::string, simd::SgemmFn>> out{
+        {"reference", simd::sgemmScalar},
+        {"active", simd::sgemmFor(simd::activeSimdLevel())}};
+    for (u8 l = 0; l <= static_cast<u8>(simd::detectSimdLevel()); ++l) {
+        const auto level = static_cast<simd::SimdLevel>(l);
+        out.emplace_back(simd::simdLevelName(level), simd::sgemmFor(level));
+    }
+    return out;
+}
+
+TEST(GrmGolden, ExactBitsAndProbeTotalsUnderEveryGemm)
+{
+    // Recorded before the tiles moved onto the shared GEMM: 70 x 400
+    // crosses the 64-wide tile edge into a 6-wide panel;
+    // 130 x 2100 also crosses a 2048-site block.
+    struct Case
+    {
+        u32 n;
+        u32 sites;
+        u64 bits;
+        std::vector<u64> totals; ///< op counts by class, load/store bytes
+    };
+    const Case cases[] = {
+        {70, 400, 0x8d60a58a3c607024ull,
+         {4970, 0, 124250, 130950, 2485, 0, 0, 4190400, 19880}},
+        {130, 2100, 0xc6d1cfad6e50fdd5ull,
+         {34060, 0, 2239445, 2324131, 8515, 0, 0, 74230800, 68120}},
+    };
+    ThreadPool pool1(1);
+    ThreadPool pool3(3);
+    for (const Case& c : cases) {
+        GenotypeParams gp;
+        gp.num_individuals = c.n;
+        gp.num_sites = c.sites;
+        gp.missing_rate = 0.01;
+        const auto m = generateGenotypes(gp);
+        for (const auto& [name, gemm] : gemmsUnderTest()) {
+            CountingProbe probe;
+            const auto r = computeGrm(m, pool1, probe, gemm);
+            EXPECT_EQ(xxhash64(r.g.data(), r.g.size() * sizeof(float)),
+                      c.bits)
+                << c.n << "x" << c.sites << " on " << name;
+            std::vector<u64> totals(probe.counts().by_class.begin(),
+                                    probe.counts().by_class.end());
+            totals.push_back(probe.loadBytes());
+            totals.push_back(probe.storeBytes());
+            EXPECT_EQ(totals, c.totals)
+                << c.n << "x" << c.sites << " on " << name;
+            EXPECT_EQ(computeGrm(m, pool3, gemm).g, r.g) << name;
+        }
+    }
+}
 } // namespace
 } // namespace gb

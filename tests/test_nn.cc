@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/bonito.h"
@@ -14,6 +16,8 @@
 #include "nn/ctc.h"
 #include "nn/layers.h"
 #include "pileup/pileup.h"
+#include "simd/gemm_engine.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace gb {
@@ -349,5 +353,173 @@ TEST(Clair, OutputDependsOnInput)
     EXPECT_GT(delta, 1e-4f);
 }
 
+// ---- Golden outputs --------------------------------------------------
+// Exact float bits and CountingProbe totals recorded before the layers
+// moved onto the shared GEMM. A changed summation order, an FMA
+// contraction or a changed probe stream moves one of these.
+
+/** xxhash64 of the raw bits of a float buffer. */
+u64
+bitsHash(const std::vector<float>& v)
+{
+    return xxhash64(v.data(), v.size() * sizeof(float));
+}
+
+/** CountingProbe totals: op counts by class, then load/store bytes. */
+std::vector<u64>
+probeTotals(const CountingProbe& probe)
+{
+    std::vector<u64> out(probe.counts().by_class.begin(),
+                         probe.counts().by_class.end());
+    out.push_back(probe.loadBytes());
+    out.push_back(probe.storeBytes());
+    return out;
+}
+
+Tensor2
+randomTensor(u32 rows, u32 cols, u64 seed)
+{
+    Tensor2 t(rows, cols);
+    Rng rng(seed);
+    for (auto& v : t.data) v = static_cast<float>(rng.normal());
+    return t;
+}
+
+Tensor2
+goldenChunk()
+{
+    return randomTensor(999, 1, 7);
+}
+
+std::vector<float>
+goldenFeatures()
+{
+    Rng rng(10);
+    std::vector<float> f(kClairFeatureSize);
+    for (auto& v : f) v = static_cast<float>(rng.uniform());
+    return f;
+}
+
+std::vector<float>
+flatten(const ClairOutput& o)
+{
+    std::vector<float> v(o.alt_base.begin(), o.alt_base.end());
+    v.insert(v.end(), o.zygosity.begin(), o.zygosity.end());
+    v.insert(v.end(), o.var_type.begin(), o.var_type.end());
+    v.insert(v.end(), o.indel_len.begin(), o.indel_len.end());
+    return v;
+}
+
+/**
+ * Every GEMM a layer can run on: the reference, each level this host
+ * executes, and the active level (the one --engine=simd dispatches).
+ */
+std::vector<std::pair<std::string, simd::SgemmFn>>
+gemmsUnderTest()
+{
+    std::vector<std::pair<std::string, simd::SgemmFn>> out{
+        {"reference", simd::sgemmScalar},
+        {"active", simd::sgemmFor(simd::activeSimdLevel())}};
+    for (u8 l = 0; l <= static_cast<u8>(simd::detectSimdLevel()); ++l) {
+        const auto level = static_cast<simd::SimdLevel>(l);
+        out.emplace_back(simd::simdLevelName(level), simd::sgemmFor(level));
+    }
+    return out;
+}
+
+TEST(NnGolden, BonitoForwardBitsUnderEveryGemm)
+{
+    const BonitoModel model;
+    const Tensor2 chunk = goldenChunk();
+    NullProbe probe;
+    for (const auto& [name, gemm] : gemmsUnderTest()) {
+        EXPECT_EQ(bitsHash(model.forward(chunk, probe, gemm).data),
+                  0xa0cf9184f7f34049ull)
+            << name;
+    }
+}
+
+TEST(NnGolden, ClairPredictBitsUnderEveryGemm)
+{
+    const ClairModel model;
+    const std::vector<float> features = goldenFeatures();
+    NullProbe probe;
+    for (const auto& [name, gemm] : gemmsUnderTest()) {
+        EXPECT_EQ(bitsHash(flatten(model.predict(features, probe, gemm))),
+                  0x3a461adbf3478d34ull)
+            << name;
+    }
+}
+
+TEST(NnGolden, LayerBitsAndProbeTotalsUnderEveryGemm)
+{
+    struct Case
+    {
+        const char* name;
+        std::function<Tensor2(CountingProbe&, simd::SgemmFn)> run;
+        u64 bits;
+        std::vector<u64> totals;
+    };
+    const Conv1d conv(6, 10, 5, 3, 1, Activation::kSwish, 21);
+    const Conv1d depthwise(12, 12, 9, 1, 12, Activation::kSwish, 23);
+    const Conv1d grouped(12, 6, 3, 2, 3, Activation::kNone, 25);
+    const Dense dense(19, 13, Activation::kRelu, 27);
+    const BiLstm lstm(7, 11, 29);
+    const std::vector<Case> cases{
+        {"conv",
+         [&](CountingProbe& p, simd::SgemmFn g) {
+             return conv.forward(randomTensor(101, 6, 22), p, g);
+         },
+         0xb80c4a488f729613ull,
+         {136, 0, 1378, 1326, 68, 0, 0, 41616, 1360}},
+        {"depthwise",
+         [&](CountingProbe& p, simd::SgemmFn g) {
+             return depthwise.forward(randomTensor(77, 12, 24), p, g);
+         },
+         0x7c21a0831c628b17ull,
+         {308, 0, 1310, 1232, 154, 0, 0, 36960, 3696}},
+        {"grouped",
+         [&](CountingProbe& p, simd::SgemmFn g) {
+             return grouped.forward(randomTensor(40, 12, 26), p, g);
+         },
+         0xfaa09f99a8f0d3abull,
+         {80, 0, 180, 220, 20, 0, 0, 6720, 480}},
+        {"dense",
+         [&](CountingProbe& p, simd::SgemmFn g) {
+             return dense.forward(randomTensor(5, 19, 28), p, g);
+         },
+         0xda4cdb3491d09719ull,
+         {0, 0, 173, 170, 10, 0, 0, 5320, 260}},
+        {"bilstm",
+         [&](CountingProbe& p, simd::SgemmFn g) {
+             return lstm.forward(randomTensor(9, 7, 30), p, g);
+         },
+         0x88ae606aa8d2c137ull,
+         {0, 792, 1980, 1800, 36, 0, 0, 57528, 792}},
+    };
+    for (const auto& [gemm_name, gemm] : gemmsUnderTest()) {
+        for (const Case& c : cases) {
+            CountingProbe probe;
+            EXPECT_EQ(bitsHash(c.run(probe, gemm).data), c.bits)
+                << c.name << " on " << gemm_name;
+            EXPECT_EQ(probeTotals(probe), c.totals)
+                << c.name << " on " << gemm_name;
+        }
+    }
+}
+
+TEST(NnGolden, ModelProbeTotals)
+{
+    CountingProbe bonito_probe;
+    BonitoModel().forward(goldenChunk(), bonito_probe);
+    EXPECT_EQ(probeTotals(bonito_probe),
+              (std::vector<u64>{17316, 4995, 556110, 537795, 18315, 0, 0,
+                                17181468, 582084}));
+    CountingProbe clair_probe;
+    ClairModel().predict(goldenFeatures(), clair_probe);
+    EXPECT_EQ(probeTotals(clair_probe),
+              (std::vector<u64>{0, 25344, 362520, 264348, 808, 0, 0,
+                                8459136, 25792}));
+}
 } // namespace
 } // namespace gb

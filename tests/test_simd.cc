@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "phmm/pairhmm.h"
 #include "simd/bsw_engine.h"
 #include "simd/chain_engine.h"
+#include "simd/gemm_engine.h"
 #include "simd/phmm_engine.h"
 #include "simd/poa_engine.h"
 #include "simd/simd.h"
@@ -359,6 +361,131 @@ TEST(SimdPhmm, UnderflowFallsBackToDoubleExactly)
             << simd::simdLevelName(level);
         EXPECT_DOUBLE_EQ(got.log10_likelihood, scalar.log10_likelihood)
             << simd::simdLevelName(level);
+    }
+}
+
+// ---- GEMM -------------------------------------------------------------
+
+/** Operands of one GEMM case; leading dimensions carry random padding. */
+struct GemmCase
+{
+    simd::SgemmArgs args;
+    std::vector<float> a;
+    std::vector<float> b;
+    std::vector<float> c;
+};
+
+enum class GemmStart { kZero, kBias, kExisting };
+
+GemmCase
+makeGemmCase(u32 m, u32 n, u32 k, bool a_transposed, GemmStart start,
+             Rng& rng)
+{
+    GemmCase g;
+    const u32 pad = static_cast<u32>(rng.below(3));
+    g.args.m = m;
+    g.args.n = n;
+    g.args.k = k;
+    if (a_transposed) {
+        // Site-major panel layout: A(i, p) at p * (m + pad) + i.
+        g.args.a_row_stride = 1;
+        g.args.a_col_stride = m + pad;
+        g.a.resize(static_cast<size_t>(m + pad) * k);
+    } else {
+        g.args.a_row_stride = k + pad;
+        g.args.a_col_stride = 1;
+        g.a.resize(static_cast<size_t>(m) * (k + pad));
+    }
+    g.args.ldb = n + pad;
+    g.args.ldc = n + pad;
+    g.b.resize(static_cast<size_t>(k) * g.args.ldb);
+    g.c.resize(static_cast<size_t>(m) * g.args.ldc);
+    for (auto& v : g.a) v = static_cast<float>(rng.normal());
+    for (auto& v : g.b) v = static_cast<float>(rng.normal());
+    std::vector<float> bias(g.args.ldc);
+    for (auto& v : bias) v = static_cast<float>(rng.normal());
+    for (size_t i = 0; i < g.c.size(); ++i) {
+        switch (start) {
+          case GemmStart::kZero: g.c[i] = 0.0f; break;
+          case GemmStart::kBias: g.c[i] = bias[i % g.args.ldc]; break;
+          case GemmStart::kExisting:
+            g.c[i] = static_cast<float>(rng.normal());
+            break;
+        }
+    }
+    g.args.a = g.a.data();
+    g.args.b = g.b.data();
+    g.args.c = g.c.data();
+    return g;
+}
+
+bool
+sameBits(const std::vector<float>& x, const std::vector<float>& y)
+{
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) ==
+                0);
+}
+
+TEST(SimdGemm, MatchesScalarBitForBitAllLevels)
+{
+    const u32 dims[] = {0, 1, 7, 8, 9, 17, 63, 65, 130};
+    for (const simd::SimdLevel level : testableLevels()) {
+        LevelGuard guard;
+        simd::setSimdLevel(level);
+        Rng rng(701);
+        for (u32 m : dims) {
+            for (u32 n : dims) {
+                for (u32 k : dims) {
+                    for (const GemmStart start :
+                         {GemmStart::kZero, GemmStart::kBias,
+                          GemmStart::kExisting}) {
+                        GemmCase ref = makeGemmCase(
+                            m, n, k, rng.chance(0.5), start, rng);
+                        GemmCase got = ref;
+                        got.args.c = got.c.data();
+                        simd::sgemmScalar(ref.args);
+                        simd::sgemm(got.args);
+                        EXPECT_TRUE(sameBits(ref.c, got.c))
+                            << simd::simdLevelName(level) << " m=" << m
+                            << " n=" << n << " k=" << k << " start="
+                            << static_cast<int>(start);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdGemm, KeepsTheDotLoopOrderAcrossInnerChunks)
+{
+    // Long inner dimensions cross the engine's B-panel chunks; every
+    // element must still equal `acc = c; acc += a * b` in ascending p,
+    // the loop the nn layers and grm tiles used before the GEMM.
+    Rng rng(702);
+    for (const simd::SimdLevel level : testableLevels()) {
+        LevelGuard guard;
+        simd::setSimdLevel(level);
+        for (const u32 k : {255u, 256u, 257u, 600u, 2048u}) {
+            GemmCase g = makeGemmCase(6, 37, k, rng.chance(0.5),
+                                      GemmStart::kBias, rng);
+            std::vector<float> expect = g.c;
+            for (u32 i = 0; i < g.args.m; ++i) {
+                for (u32 j = 0; j < g.args.n; ++j) {
+                    float acc = expect[i * g.args.ldc + j];
+                    for (u32 p = 0; p < k; ++p) {
+                        acc += g.a[i * g.args.a_row_stride +
+                                   p * g.args.a_col_stride] *
+                               g.b[p * g.args.ldb + j];
+                    }
+                    expect[i * g.args.ldc + j] = acc;
+                }
+            }
+            simd::sgemm(g.args);
+            EXPECT_TRUE(sameBits(expect, g.c))
+                << simd::simdLevelName(level) << " k=" << k;
+        }
     }
 }
 
