@@ -6,9 +6,9 @@
  * the per-table characterization binaries.
  *
  * Kernels with a real SIMD engine (bsw, phmm, fmi, kmer-cnt, chain,
- * spoa, and grm/nn-base/nn-variant on the shared GEMM) get one timed
- * entry per engine so the measured scalar-vs-SIMD speedup sits next to
- * the modeled cell-update ratio from bench_fig3. `--engine=scalar|simd`
+ * spoa, grm/nn-base/nn-variant on the shared GEMM, and abea) get one
+ * timed entry per engine so the measured scalar-vs-SIMD speedup sits
+ * next to the modeled cell-update ratio from bench_fig3. `--engine=scalar|simd`
  * restricts registration to one engine (default: both), e.g.
  *
  *   bench_kernels --engine=simd --benchmark_filter=bsw
@@ -93,13 +93,15 @@ runKernel(benchmark::State& state, const std::string& name,
 /** Kernels with a non-scalar execution engine: gb::simd lockstep
  *  batches (bsw, phmm), gb::mlp prefetch-pipelined batches with SIMD
  *  occ resolution (fmi, kmer-cnt), the wave-3 vectorized DPs (chain,
- *  spoa), or the shared GEMM (grm, nn-base, nn-variant). */
+ *  spoa), the shared GEMM (grm, nn-base, nn-variant), or the
+ *  band-parallel event aligner (abea). */
 bool
 hasSimdEngine(const std::string& name)
 {
     return name == "bsw" || name == "phmm" || name == "fmi" ||
            name == "kmer-cnt" || name == "chain" || name == "spoa" ||
-           name == "grm" || name == "nn-base" || name == "nn-variant";
+           name == "grm" || name == "nn-base" || name == "nn-variant" ||
+           name == "abea";
 }
 
 void

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full pre-merge check: tier-1 build + tests, the SIMD, batched-MLP,
-# chain, poa, nn and grm equivalence suites at every dispatch level
-# (GB_SIMD_LEVEL=scalar|sse4|avx2), the GEMM equivalence tests in a
-# -march=native (FMA-capable) build, the gb::store, gb::simd, gb::mlp,
-# gb::chain, gb::poa, nn and grm test suites under ASan/UBSan, the
+# chain, poa, nn, grm and abea equivalence suites at every dispatch
+# level (GB_SIMD_LEVEL=scalar|sse4|avx2), the GEMM and abea
+# equivalence tests in a -march=native (FMA-capable) build, the
+# gb::store, gb::simd, gb::mlp, gb::chain, gb::poa, nn, grm and abea
+# test suites under ASan/UBSan, the
 # thread-pool and metrics suites
 # under TSan, a metrics smoke test (--json emission validated by
 # scripts/bench_compare.py), the mlp ablation benches (self-verifying),
@@ -48,7 +49,7 @@ step "tier-1: ctest"
 # host with AVX2 still exercises the SSE4 and scalar dispatch paths
 # (the env override clamps to what the CPU supports, so this is safe
 # on any machine).
-step "gb::simd + gb::mlp + chain/poa/nn/grm: equivalence at every dispatch level"
+step "gb::simd + gb::mlp + chain/poa/nn/grm/abea: equivalence at every dispatch level"
 for level in scalar sse4 avx2; do
     echo "-- GB_SIMD_LEVEL=$level"
     GB_SIMD_LEVEL=$level ./build/tests/test_simd
@@ -57,15 +58,19 @@ for level in scalar sse4 avx2; do
     GB_SIMD_LEVEL=$level ./build/tests/test_poa --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_nn --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build/tests/test_grm --gtest_brief=1
+    GB_SIMD_LEVEL=$level ./build/tests/test_abea --gtest_brief=1
 done
 
-# The GEMM is bit-identical to its reference only while every multiply
-# and add rounds separately. A -march=native build enables FMA, so this
-# tree proves the -ffp-contract=off guards hold: the GEMM tests, plus
-# the nn and grm golden outputs recorded in the default build.
-step "gb::simd GEMM: bit-identity in a GB_NATIVE=ON build"
+# The GEMM and the abea engine are bit-identical to their scalar
+# oracles only while every multiply and add rounds separately. A
+# -march=native build enables FMA, so this tree proves the
+# -ffp-contract=off guards hold: the GEMM tests, the nn, grm and abea
+# golden outputs recorded in the default build, and the abea
+# engine-vs-oracle tests.
+step "gb::simd GEMM + abea: bit-identity in a GB_NATIVE=ON build"
 cmake -B build-native -S . -DGB_NATIVE=ON >/dev/null
-cmake --build build-native -j"$JOBS" --target test_simd test_nn test_grm
+cmake --build build-native -j"$JOBS" --target test_simd test_nn test_grm \
+    test_abea
 for level in scalar sse4 avx2; do
     GB_SIMD_LEVEL=$level ./build-native/tests/test_simd \
         --gtest_filter='SimdGemm.*' --gtest_brief=1
@@ -73,17 +78,19 @@ for level in scalar sse4 avx2; do
         --gtest_filter='NnGolden.*' --gtest_brief=1
     GB_SIMD_LEVEL=$level ./build-native/tests/test_grm \
         --gtest_filter='GrmGolden.*' --gtest_brief=1
+    GB_SIMD_LEVEL=$level ./build-native/tests/test_abea \
+        --gtest_filter='AbeaGolden.*:SimdAbea.*' --gtest_brief=1
 done
 
 # ------------------------------------------------------- sanitizer build
 if [[ $SKIP_SAN -eq 0 ]]; then
-    step "ASan/UBSan: build + run store + simd + mlp + chain + poa + nn + grm tests"
+    step "ASan/UBSan: build + run store + simd + mlp + chain + poa + nn + grm + abea tests"
     cmake -B build-asan -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
         >/dev/null
     cmake --build build-asan -j"$JOBS" --target test_store test_simd \
-        test_mlp test_chain test_poa test_nn test_grm
+        test_mlp test_chain test_poa test_nn test_grm test_abea
     ./build-asan/tests/test_store
     for level in scalar sse4 avx2; do
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_simd \
@@ -97,6 +104,8 @@ if [[ $SKIP_SAN -eq 0 ]]; then
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_nn \
             --gtest_brief=1
         GB_SIMD_LEVEL=$level ./build-asan/tests/test_grm \
+            --gtest_brief=1
+        GB_SIMD_LEVEL=$level ./build-asan/tests/test_abea \
             --gtest_brief=1
     done
 fi

@@ -1,31 +1,36 @@
 #include "abea/abea.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
+
+#include "abea/abea_band.h"
 
 namespace gb {
 
-namespace {
+namespace abea {
 
-constexpr float kNegInf = -std::numeric_limits<float>::infinity();
-
-enum : u8 { kFromNone = 0, kFromDiag, kFromUp, kFromLeft };
-
-/** Band anchor: coordinates of offset 0 (the lower-left cell). */
-struct BandLL
+Transitions
+transitionsFor(i64 n_events, i64 n_kmers, const AbeaParams& params)
 {
-    i64 event_idx;
-    i64 kmer_idx;
-};
+    const double events_per_kmer =
+        static_cast<double>(n_events) / static_cast<double>(n_kmers);
+    const double p_stay = 1.0 - 1.0 / (events_per_kmer + 1.0);
+    return {
+        static_cast<float>(std::log(p_stay)),
+        static_cast<float>(std::log(params.skip_prob)),
+        static_cast<float>(std::log(
+            std::max(1e-12, 1.0 - p_stay - params.skip_prob))),
+        static_cast<float>(std::log(params.trim_prob)),
+    };
+}
 
-} // namespace
+} // namespace abea
+
+using namespace abea;
 
 float
 logProbMatch(const PoreKmerModel& km, float event_mean)
 {
     const float z = (event_mean - km.level_mean) / km.level_stdv;
-    constexpr float kLogSqrt2Pi = 0.9189385332f;
     return -0.5f * z * z - std::log(km.level_stdv) - kLogSqrt2Pi;
 }
 
@@ -45,20 +50,8 @@ alignEvents(std::span<const Event> events, const PoreModel& model,
     const i64 w = params.bandwidth;
     requireInput(w >= 4 && w % 2 == 0,
                  "abea: bandwidth must be even and >= 4");
-    const i64 half = w / 2;
     const i64 n_bands = n_events + n_kmers + 2;
-
-    // Transition log-probabilities (Nanopolish parameterization).
-    const double events_per_kmer =
-        static_cast<double>(n_events) / static_cast<double>(n_kmers);
-    const double p_stay = 1.0 - 1.0 / (events_per_kmer + 1.0);
-    const float lp_stay = static_cast<float>(std::log(p_stay));
-    const float lp_skip =
-        static_cast<float>(std::log(params.skip_prob));
-    const float lp_step = static_cast<float>(
-        std::log(std::max(1e-12, 1.0 - p_stay - params.skip_prob)));
-    const float lp_trim =
-        static_cast<float>(std::log(params.trim_prob));
+    const Transitions lp = transitionsFor(n_events, n_kmers, params);
 
     std::vector<float> band(static_cast<size_t>(n_bands) * w, kNegInf);
     std::vector<u8> trace(static_cast<size_t>(n_bands) * w, kFromNone);
@@ -87,35 +80,22 @@ alignEvents(std::span<const Event> events, const PoreModel& model,
 
     // Band 0 contains the virtual start cell (-1, -1); band 1 trims
     // the first event.
-    band_ll[0] = {half - 1, -1 - half};
-    band_ll[1] = {band_ll[0].event_idx + 1, band_ll[0].kmer_idx};
+    band_ll[0] = firstBand(w);
+    band_ll[1] = nextBand(band_ll[0], false);
     cell(0, kmerToOffset(0, -1)) = 0.0f;
     {
         const i64 first_trim = eventToOffset(1, 0);
-        cell(1, first_trim) = lp_trim;
+        cell(1, first_trim) = lp.trim;
         tr(1, first_trim) = kFromUp;
     }
 
     if (params.record_bands) result.band_ranges.resize(n_bands, {0, 0});
 
     for (i64 b = 2; b < n_bands; ++b) {
-        // Adaptive move: follow the higher band edge (Suzuki-Kasahara
-        // rule), forced at the sequence boundaries.
-        bool right;
-        if (band_ll[b - 1].kmer_idx >= n_kmers - 1) {
-            right = false;
-        } else if (band_ll[b - 1].event_idx >= n_events - 1) {
-            right = true;
-        } else {
-            const float ll = cell(b - 1, 0);
-            const float ur = cell(b - 1, w - 1);
-            right = ur > ll;
-            probe.branch(60, right);
-        }
-        band_ll[b] = right ? BandLL{band_ll[b - 1].event_idx,
-                                    band_ll[b - 1].kmer_idx + 1}
-                           : BandLL{band_ll[b - 1].event_idx + 1,
-                                    band_ll[b - 1].kmer_idx};
+        band_ll[b] = nextBand(
+            band_ll[b - 1], moveRight(band_ll[b - 1], n_events, n_kmers,
+                                      cell(b - 1, 0), cell(b - 1, w - 1),
+                                      probe));
 
         // Trim column (kmer == -1): events skipped before alignment.
         const i64 trim_offset = kmerToOffset(b, -1);
@@ -123,15 +103,13 @@ alignEvents(std::span<const Event> events, const PoreModel& model,
             const i64 event = eventAt(b, trim_offset);
             if (event >= 0 && event < n_events) {
                 cell(b, trim_offset) =
-                    lp_trim * static_cast<float>(event + 1);
+                    lp.trim * static_cast<float>(event + 1);
                 tr(b, trim_offset) = kFromUp;
             }
         }
 
-        const i64 min_offset = std::max<i64>(
-            {kmerToOffset(b, 0), eventToOffset(b, n_events - 1), 0});
-        const i64 max_offset = std::min<i64>(
-            {kmerToOffset(b, n_kmers), eventToOffset(b, -1), w});
+        const auto [min_offset, max_offset] =
+            bandRange(band_ll[b], n_events, n_kmers, w);
         if (params.record_bands && min_offset < max_offset) {
             result.band_ranges[static_cast<size_t>(b)] = {
                 static_cast<u16>(min_offset),
@@ -172,9 +150,9 @@ alignEvents(std::span<const Event> events, const PoreModel& model,
                 probe.load(&cell(b - 2, offset_diag), 4);
             }
 
-            const float score_d = diag + lp_step + lp_emission;
-            const float score_u = up + lp_stay + lp_emission;
-            const float score_l = left + lp_skip;
+            const float score_d = diag + lp.step + lp_emission;
+            const float score_u = up + lp.stay + lp_emission;
+            const float score_l = left + lp.skip;
 
             float best = score_d;
             u8 from = kFromDiag;
@@ -197,50 +175,10 @@ alignEvents(std::span<const Event> events, const PoreModel& model,
         }
     }
 
-    // Termination: best full-k-mer-coverage cell, trimming trailing
-    // events.
-    float best_score = kNegInf;
-    i64 best_event = -1;
-    for (i64 event_idx = 0; event_idx < n_events; ++event_idx) {
-        const i64 b = event_idx + (n_kmers - 1) + 2;
-        if (b < 0 || b >= n_bands) continue;
-        const i64 offset = eventToOffset(b, event_idx);
-        if (!offsetValid(offset)) continue;
-        const float s =
-            cell(b, offset) +
-            static_cast<float>(n_events - 1 - event_idx) * lp_trim;
-        if (s > best_score) {
-            best_score = s;
-            best_event = event_idx;
-        }
-    }
-    if (best_event < 0 || best_score == kNegInf) return result;
-
-    result.score = best_score;
-    result.valid = true;
-
-    // Backtrace.
-    i64 event_idx = best_event;
-    i64 kmer_idx = n_kmers - 1;
-    while (event_idx >= 0 && kmer_idx >= 0) {
-        const i64 b = event_idx + kmer_idx + 2;
-        const i64 offset = eventToOffset(b, event_idx);
-        const u8 from = tr(b, offset);
-        if (from == kFromNone) break;
-        // Every visited in-band cell is an (event, k-mer) assignment
-        // (Nanopolish emits skip-reached cells too).
-        result.alignment.push_back({static_cast<u32>(event_idx),
-                                    static_cast<u32>(kmer_idx)});
-        if (from == kFromDiag) {
-            --event_idx;
-            --kmer_idx;
-        } else if (from == kFromUp) {
-            --event_idx;
-        } else {
-            --kmer_idx;
-        }
-    }
-    std::reverse(result.alignment.begin(), result.alignment.end());
+    finishAlignment(
+        band_ll, n_events, n_kmers, w, lp.trim,
+        [&](i64 b, i64 offset) { return cell(b, offset); },
+        [&](i64 b, i64 offset) { return tr(b, offset); }, result);
     return result;
 }
 

@@ -32,9 +32,10 @@ enum class DatasetSize : u8
  * Execution engine for timed runs. kScalar is the portable
  * probe-compatible implementation every kernel has; kSimd swaps in a
  * real vectorized engine (gb::simd/gb::mlp, runtime-dispatched) where
- * one exists: bsw, phmm, fmi, kmer-cnt, chain, spoa, and the shared
- * GEMM under grm, nn-base and nn-variant (9 of 12). Kernels without a
- * SIMD engine (abea, dbg, pileup) run scalar under either setting.
+ * one exists: bsw, phmm, fmi, kmer-cnt, chain, spoa, the shared GEMM
+ * under grm, nn-base and nn-variant, and the band-parallel abea
+ * aligner (10 of 12). Kernels without a SIMD engine (dbg, pileup) run
+ * scalar under either setting.
  */
 enum class Engine : u8
 {

@@ -13,6 +13,7 @@
 #include "simdata/pore_model.h"
 #include "store/artifacts.h"
 #include "store/cache.h"
+#include "trace/trace.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
@@ -34,7 +35,7 @@ sizesFor(DatasetSize size, u64 tiny, u64 small, u64 large)
 class AbeaKernel final : public Benchmark
 {
   public:
-    AbeaKernel() : model_(6, 161) {}
+    AbeaKernel() : model_(PoreModel(6, 161)) {}
 
     const Info&
     info() const override
@@ -94,9 +95,18 @@ class AbeaKernel final : public Benchmark
                     task.ref = genome.seq.substr(pos, seg_len);
                     SignalParams sp;
                     sp.seed = 164 + r;
-                    const SimSignal sim =
-                        simulateSignal(model_, task.ref, sp);
-                    task.events = detectEvents(sim.samples);
+                    SimSignal sim;
+                    {
+                        GB_TRACE_SPAN(trace::Category::kKernel,
+                                      "abea:simulate_signal", r);
+                        sim = simulateSignal(model_.pore(), task.ref,
+                                             sp);
+                    }
+                    {
+                        GB_TRACE_SPAN(trace::Category::kKernel,
+                                      "abea:detect_events", r);
+                        task.events = detectEvents(sim.samples);
+                    }
                     reads_.push_back(std::move(task));
                 }
 
@@ -124,9 +134,9 @@ class AbeaKernel final : public Benchmark
     u64
     run(ThreadPool& pool) override
     {
+        const simd::AbeaAlignFn align = abeaAlignFor(engine());
         pool.parallelFor(reads_.size(), [&](u64 i) {
-            alignEvents(reads_[i].events, model_, reads_[i].ref,
-                        params_);
+            align(reads_[i].events, model_, reads_[i].ref, params_);
         });
         return reads_.size();
     }
@@ -135,7 +145,8 @@ class AbeaKernel final : public Benchmark
     characterize(CharProbe& probe) override
     {
         for (const auto& read : reads_) {
-            alignEvents(read.events, model_, read.ref, params_, probe);
+            alignEvents(read.events, model_.pore(), read.ref, params_,
+                        probe);
         }
         return reads_.size();
     }
@@ -146,8 +157,8 @@ class AbeaKernel final : public Benchmark
         std::vector<u64> work;
         work.reserve(reads_.size());
         for (const auto& read : reads_) {
-            const auto result =
-                alignEvents(read.events, model_, read.ref, params_);
+            const auto result = alignEvents(read.events, model_.pore(),
+                                            read.ref, params_);
             work.push_back(result.cells_computed);
         }
         return work;
@@ -160,7 +171,7 @@ class AbeaKernel final : public Benchmark
         std::vector<Event> events;
     };
 
-    PoreModel model_;
+    simd::AbeaModel model_;
     AbeaParams params_;
     std::vector<ReadTask> reads_;
 };

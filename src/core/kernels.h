@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "core/benchmark.h"
+#include "simd/abea_engine.h"
 #include "simd/gemm_engine.h"
 
 namespace gb {
@@ -37,6 +38,18 @@ gemmFor(Engine engine)
     return engine == Engine::kSimd
                ? simd::sgemmFor(simd::activeSimdLevel())
                : simd::sgemmScalar;
+}
+
+/**
+ * The event aligner abea runs on under an engine: the scalar oracle,
+ * or the active band-parallel SIMD level (same results).
+ */
+inline simd::AbeaAlignFn
+abeaAlignFor(Engine engine)
+{
+    return engine == Engine::kSimd
+               ? simd::abeaAlignFor(simd::activeSimdLevel())
+               : simd::alignEventsScalar;
 }
 
 } // namespace gb

@@ -10,6 +10,7 @@
 
 #include "align/banded_sw.h"
 #include "chain/chain.h"
+#include "simd/abea_engine.h"
 #include "simd/gemm_engine.h"
 #include "simd/poa_engine.h"
 #include "util/common.h"
@@ -104,6 +105,17 @@ void poaInsScanAvx2(const PoaInsScanArgs& args);
  */
 void sgemmSse4(const SgemmArgs& args);
 void sgemmAvx2(const SgemmArgs& args);
+
+/**
+ * alignEvents() with each band's cells computed kF32Lanes at a time;
+ * record_bands calls and empty event lists run on the oracle.
+ */
+AbeaResult abeaAlignSse4(std::span<const Event> events,
+                         const AbeaModel& model, std::string_view ref,
+                         const AbeaParams& params);
+AbeaResult abeaAlignAvx2(std::span<const Event> events,
+                         const AbeaModel& model, std::string_view ref,
+                         const AbeaParams& params);
 
 } // namespace gb::simd::detail
 

@@ -188,13 +188,36 @@ inline VecF32 vAddF32(VecF32 a, VecF32 b)
 {
     return _mm256_add_ps(a, b);
 }
+inline VecF32 vSubF32(VecF32 a, VecF32 b)
+{
+    return _mm256_sub_ps(a, b);
+}
 inline VecF32 vMulF32(VecF32 a, VecF32 b)
 {
     return _mm256_mul_ps(a, b);
 }
+inline VecF32 vDivF32(VecF32 a, VecF32 b)
+{
+    return _mm256_div_ps(a, b);
+}
+/** All-ones lanes where a > b (ordered: false if either is NaN). */
+inline VecF32 vCmpGtF32(VecF32 a, VecF32 b)
+{
+    return _mm256_cmp_ps(a, b, _CMP_GT_OQ);
+}
 inline VecF32 vSelectF32(VecF32 mask, VecF32 a, VecF32 b)
 {
     return _mm256_blendv_ps(b, a, mask);
+}
+/** Reinterpret 32-bit integer lanes as floats (e.g. a lane mask). */
+inline VecF32 vAsF32(VecI32 a) { return _mm256_castsi256_ps(a); }
+/** Store the low byte of each 32-bit lane (lanes must be 0..255). */
+inline void vStoreBytesI32(u8* p, VecI32 v)
+{
+    const __m128i words = _mm_packus_epi32(
+        _mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(p),
+                     _mm_packus_epi16(words, words));
 }
 /** Per-f32-lane all-ones mask where bytes a[i] == b[i] && a[i] < 4. */
 inline VecF32 vByteMatchMaskF32(const u8* a, const u8* b)
@@ -336,10 +359,21 @@ inline VecF32 vSet1F32(float x) { return _mm_set1_ps(x); }
 inline VecF32 vLoadF32(const float* p) { return _mm_loadu_ps(p); }
 inline void vStoreF32(float* p, VecF32 v) { _mm_storeu_ps(p, v); }
 inline VecF32 vAddF32(VecF32 a, VecF32 b) { return _mm_add_ps(a, b); }
+inline VecF32 vSubF32(VecF32 a, VecF32 b) { return _mm_sub_ps(a, b); }
 inline VecF32 vMulF32(VecF32 a, VecF32 b) { return _mm_mul_ps(a, b); }
+inline VecF32 vDivF32(VecF32 a, VecF32 b) { return _mm_div_ps(a, b); }
+inline VecF32 vCmpGtF32(VecF32 a, VecF32 b) { return _mm_cmpgt_ps(a, b); }
 inline VecF32 vSelectF32(VecF32 mask, VecF32 a, VecF32 b)
 {
     return _mm_blendv_ps(b, a, mask);
+}
+inline VecF32 vAsF32(VecI32 a) { return _mm_castsi128_ps(a); }
+inline void vStoreBytesI32(u8* p, VecI32 v)
+{
+    const __m128i words = _mm_packus_epi32(v, v);
+    const u32 bytes = static_cast<u32>(
+        _mm_cvtsi128_si32(_mm_packus_epi16(words, words)));
+    __builtin_memcpy(p, &bytes, 4);
 }
 inline VecF32 vByteMatchMaskF32(const u8* a, const u8* b)
 {
